@@ -6,32 +6,30 @@ mutual robustness via linear and rank correlation, two-sample
 Kolmogorov-Smirnov comparison, and detrended fluctuation analysis.
 """
 
-from .exceptions import DegenerateInputError, IngestionError, SentlenError
+from .exceptions import ConfigError, DegenerateInputError, IngestionError, SentlenError
 from .series import CANONICAL_ORDER, LengthSeries, MeasureKind, extract_all, extract_series
 from .textpipe import (
     Document,
     LemmaLexicon,
-    Sentence,
     StopwordList,
     Token,
     default_lemma_lexicon,
     default_stopwords,
-    lemmatize,
     load_document,
-    remove_stopwords,
     segment_sentences,
+    sentence_tokens,
     tokenize,
 )
 
 __all__ = [
     "CANONICAL_ORDER",
+    "ConfigError",
     "DegenerateInputError",
     "Document",
     "IngestionError",
     "LemmaLexicon",
     "LengthSeries",
     "MeasureKind",
-    "Sentence",
     "SentlenError",
     "StopwordList",
     "Token",
@@ -39,10 +37,9 @@ __all__ = [
     "default_stopwords",
     "extract_all",
     "extract_series",
-    "lemmatize",
     "load_document",
-    "remove_stopwords",
     "segment_sentences",
+    "sentence_tokens",
     "tokenize",
 ]
 

@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="json",
                    help="structured output format (default json)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (default 1)")
+                   help="parallel worker processes, at most one per book "
+                        "and CPU (default 1)")
     p.add_argument("--hist-bin-width", type=int, default=1000,
                    help="sentence-count histogram bin width (default 1000)")
     return parser
@@ -61,8 +62,9 @@ def run_analyze(args) -> int:
         p_threshold=args.p_threshold,
         min_sentences=args.min_sentences,
         hist_bin_width=args.hist_bin_width,
+        jobs=args.jobs,
     )
-    summary, reports = analyze_corpus(args.input_dir, config, jobs=args.jobs)
+    summary, reports = analyze_corpus(args.input_dir, config)
     written = emit_reports(summary, reports, args.out, formats=(args.format,))
     log.info("analyzed %d books (%d skipped), wrote %d files to %s",
              summary.book_count, len(summary.skipped), len(written), args.out)

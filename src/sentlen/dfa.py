@@ -20,6 +20,9 @@ from .exceptions import DegenerateInputError
 DEFAULT_MIN_WINDOW = 8
 DEFAULT_MAX_FRACTION = 0.25
 DEFAULT_NUM_WINDOWS = 16
+#: positive fluctuation points a Hurst fit needs; a grid of fewer windows
+#: can never provide them
+MIN_FIT_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,10 @@ def estimate_hurst(curve: FluctuationCurve,
     if fit_range is not None:
         lo, hi = fit_range
         mask &= (m >= lo) & (m <= hi)
-    if int(mask.sum()) < 4:
+    if int(mask.sum()) < MIN_FIT_POINTS:
         raise DegenerateInputError(
-            "undefined exponent: fewer than 4 positive fluctuation points "
-            "in the fit range"
+            f"undefined exponent: fewer than {MIN_FIT_POINTS} positive "
+            "fluctuation points in the fit range"
         )
     lm = np.log(m[mask])
     lf = np.log(f[mask])

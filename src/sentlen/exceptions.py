@@ -9,3 +9,7 @@ class IngestionError(SentlenError):
 class DegenerateInputError(SentlenError):
     """Input is structurally valid but statistically degenerate
     (constant series, zero variance, all pairs tied, ...)."""
+
+
+class ConfigError(SentlenError):
+    """An analysis setting is out of its valid range."""

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import correlation, dfa, distribution, textpipe
-from .exceptions import DegenerateInputError, IngestionError
+from .exceptions import ConfigError, DegenerateInputError, IngestionError
 from .series import CANONICAL_ORDER, MeasureKind, extract_all
 
 log = logging.getLogger(__name__)
@@ -42,6 +43,25 @@ class AnalysisConfig:
     #: shuffled controls averaged per series; a single permutation leaves
     #: ~0.03 estimator noise on h*, averaging tightens the control
     n_shuffles: int = 8
+    #: worker processes; never more than books or CPUs
+    jobs: int = 1
+
+    def __post_init__(self):
+        checks = (
+            ("dfa_degree", self.dfa_degree >= 1, ">= 1"),
+            ("dfa_points", self.dfa_points >= dfa.MIN_FIT_POINTS,
+             f">= {dfa.MIN_FIT_POINTS}"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("p_threshold", 0 < self.p_threshold < 1, "in (0, 1)"),
+            ("min_sentences", self.min_sentences >= 0, ">= 0"),
+            ("hist_bin_width", self.hist_bin_width >= 1, ">= 1"),
+            ("n_shuffles", self.n_shuffles >= 1, ">= 1"),
+            ("jobs", self.jobs >= 1, ">= 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -230,15 +250,16 @@ def summarize(reports, skipped, config: AnalysisConfig) -> CorpusSummary:
     )
 
 
-def analyze_corpus(directory, config: AnalysisConfig,
-                   jobs: int = 1) -> tuple[CorpusSummary, list[BookReport]]:
+def analyze_corpus(directory, config: AnalysisConfig
+                   ) -> tuple[CorpusSummary, list[BookReport]]:
     directory = Path(directory)
     paths = sorted(p for p in directory.glob("*.txt") if p.is_file())
     if not paths:
         raise IngestionError(f"no .txt files found in {directory}")
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(config.jobs, len(paths), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_safe_analyze, paths,
                                      [config] * len(paths)))
     else:

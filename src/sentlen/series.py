@@ -3,29 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .textpipe import Document, Sentence
+from .textpipe import CANONICAL_ORDER, Document, MeasureKind
 
-
-class MeasureKind(Enum):
-    WORDS = "N_w"
-    CHARS = "N_c"
-    LEMMA_CHARS = "N_l"
-    NONSTOP_WORDS = "N_Sw"
-    NONSTOP_CHARS = "N_Sc"
-    NONSTOP_LEMMA_CHARS = "N_Sl"
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-
-#: Fixed enumeration order so the 15 pairwise comparisons line up
-#: across books, runs and machines.
-CANONICAL_ORDER: tuple[MeasureKind, ...] = tuple(MeasureKind)
+__all__ = ["CANONICAL_ORDER", "LengthSeries", "MeasureKind",
+           "extract_all", "extract_series"]
 
 
 @dataclass(frozen=True)
@@ -38,30 +22,12 @@ class LengthSeries:
         return len(self.values)
 
 
-def sentence_length(sentence: Sentence, kind: MeasureKind) -> int:
-    """Length of one sentence under the given measure.
-
-    Words count tokens; character measures sum per-token character
-    counts of the relevant form (whitespace and stripped punctuation
-    never counted); non-stop variants drop stopword tokens first.
-    """
-    tokens = sentence.tokens
-    if kind in (MeasureKind.NONSTOP_WORDS, MeasureKind.NONSTOP_CHARS,
-                MeasureKind.NONSTOP_LEMMA_CHARS):
-        tokens = [t for t in tokens if not t.is_stop]
-    if kind in (MeasureKind.WORDS, MeasureKind.NONSTOP_WORDS):
-        return len(tokens)
-    if kind in (MeasureKind.CHARS, MeasureKind.NONSTOP_CHARS):
-        return sum(len(t.surface) for t in tokens)
-    return sum(len(t.lemma) for t in tokens)
-
-
 def extract_series(doc: Document, kind: MeasureKind) -> LengthSeries:
-    values = np.array([sentence_length(s, kind) for s in doc.sentences],
-                      dtype=np.int64)
-    return LengthSeries(book_id=doc.id, kind=kind, values=values)
+    return LengthSeries(book_id=doc.id, kind=kind,
+                        values=doc.lengths[CANONICAL_ORDER.index(kind)])
 
 
 def extract_all(doc: Document) -> list[LengthSeries]:
     """All six series in canonical order, aligned by sentence index."""
-    return [extract_series(doc, kind) for kind in CANONICAL_ORDER]
+    return [LengthSeries(book_id=doc.id, kind=kind, values=values)
+            for kind, values in zip(CANONICAL_ORDER, doc.lengths)]

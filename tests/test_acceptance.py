@@ -15,7 +15,7 @@ from sentlen.correlation import goodman_kruskal_gamma, kendall_tau, pearson
 from sentlen.dfa import FluctuationCurve, default_config, estimate_hurst, fluctuation, hurst_of_series, integrate_profile
 from sentlen.distribution import Ecdf, ks_distance
 from sentlen.harness import PAIR_INDICES, AnalysisConfig, analyze_corpus, emit_reports
-from sentlen.textpipe import document_from_text
+from sentlen.textpipe import document_from_text, sentence_tokens
 
 CHAR_MEASURES = {1, 2, 4, 5}  # indices of N_c, N_l, N_Sc, N_Sl
 
@@ -168,9 +168,11 @@ def test_criterion_6_rank_test_unanimity(corpus_results):
 def test_criterion_7_pipeline_fidelity(stops, lexicon, excerpt_text):
     doc = document_from_text("excerpt", excerpt_text, stops, lexicon)
     assert doc.sentence_count == 4
+    sentences = sentence_tokens(excerpt_text, stops, lexicon)
+    assert len(sentences) == doc.sentence_count
     non_stop = [
-        [t.normalized for t in s.tokens if not t.is_stop]
-        for s in doc.sentences
+        [t.normalized for t in s if not t.is_stop]
+        for s in sentences
     ]
     assert non_stop == [
         ["sherlock", "holmes", "always", "woman"],
@@ -178,7 +180,7 @@ def test_criterion_7_pipeline_fidelity(stops, lexicon, excerpt_text):
         ["eyes", "eclipses", "predominates", "whole", "sex"],
         ["felt", "emotion", "akin", "love", "irene", "adler"],
     ]
-    lemmatized = [" ".join(t.lemma for t in s.tokens) for s in doc.sentences]
+    lemmatized = [" ".join(t.lemma for t in s) for s in sentences]
     assert lemmatized[0] == "to sherlock holmes she be always the woman"
     assert lemmatized[2] == ("in his eye she eclipse and predominate the "
                              "whole of her sex")

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sentlen import harness, textpipe
 from sentlen.cli import main as cli_main
-from sentlen.exceptions import DegenerateInputError, IngestionError
+from sentlen.exceptions import ConfigError, DegenerateInputError, IngestionError
 from sentlen.harness import (
     PAIR_INDICES,
     AnalysisConfig,
@@ -99,7 +100,7 @@ class TestAnalyzeCorpus:
     def test_parallel_matches_serial(self, small_corpus_dir, small_results):
         serial_summary, serial_reports = small_results
         par_summary, par_reports = analyze_corpus(
-            small_corpus_dir, AnalysisConfig(), jobs=2)
+            small_corpus_dir, AnalysisConfig(jobs=2))
         assert [r.book_id for r in par_reports] == [
             r.book_id for r in serial_reports]
         assert par_summary.r_values == pytest.approx(serial_summary.r_values)
@@ -206,3 +207,77 @@ class TestCli:
         code = cli_main(["analyze", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+#: (AnalysisConfig field, CLI flag or None, rejected value)
+BAD_SETTINGS = [
+    ("hist_bin_width", "--hist-bin-width", 0),
+    ("dfa_degree", "--dfa-degree", 0),
+    ("dfa_points", "--dfa-points", 3),
+    ("seed", "--seed", -1),
+    ("p_threshold", "--p-threshold", 0.0),
+    ("p_threshold", "--p-threshold", 1.0),
+    ("p_threshold", "--p-threshold", 2.0),
+    ("min_sentences", "--min-sentences", -1),
+    ("n_shuffles", None, 0),
+    ("jobs", "--jobs", 0),
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name,flag,value", BAD_SETTINGS)
+    def test_rejected(self, name, flag, value):
+        with pytest.raises(ConfigError, match=name):
+            AnalysisConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,flag,value",
+                             [b for b in BAD_SETTINGS if b[1]])
+    def test_cli_exits_2_before_reading_a_book(self, name, flag, value,
+                                               small_corpus_dir, tmp_path,
+                                               monkeypatch):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a book was read")
+
+        monkeypatch.setattr(textpipe, "load_document", no_reading)
+        out = tmp_path / "out"
+        code = cli_main(["analyze", str(small_corpus_dir), "--out", str(out),
+                         flag, str(value)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_boundary_values_accepted(self):
+        AnalysisConfig(hist_bin_width=1, dfa_degree=1, dfa_points=4, seed=0,
+                       p_threshold=1e-9, min_sentences=0, n_shuffles=1,
+                       jobs=1)
+
+
+@pytest.mark.parametrize("jobs,cpus,expected", [
+    (64, 64, 3),     # no more workers than books
+    (64, 2, 2),      # nor than CPUs
+    (2, 64, 2),
+    (1, 64, None),   # one worker runs in process
+    (64, None, None),
+])
+def test_pool_workers_clamped(jobs, cpus, expected, tmp_path, monkeypatch):
+    for name in ("a", "b", "c"):
+        (tmp_path / f"{name}.txt").write_text("Short. Book.", encoding="utf-8")
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    summary, _ = analyze_corpus(tmp_path, AnalysisConfig(jobs=jobs))
+    assert len(summary.skipped) == 3
+    assert pools == ([] if expected is None else [expected])

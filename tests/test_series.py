@@ -2,7 +2,7 @@ import numpy as np
 
 import corpusgen
 from sentlen import MeasureKind, extract_all, extract_series
-from sentlen.series import CANONICAL_ORDER, sentence_length
+from sentlen.series import CANONICAL_ORDER
 from sentlen.textpipe import document_from_text
 
 
@@ -14,16 +14,16 @@ def test_canonical_order_labels():
 class TestExcerptCounts:
     def test_words(self, stops, lexicon, excerpt_text):
         doc = document_from_text("x", excerpt_text, stops, lexicon)
-        assert sentence_length(doc.sentences[0], MeasureKind.WORDS) == 8
+        assert extract_series(doc, MeasureKind.WORDS).values[0] == 8
 
     def test_nonstop_words(self, stops, lexicon, excerpt_text):
         doc = document_from_text("x", excerpt_text, stops, lexicon)
-        assert sentence_length(doc.sentences[0], MeasureKind.NONSTOP_WORDS) == 4
+        assert extract_series(doc, MeasureKind.NONSTOP_WORDS).values[0] == 4
 
     def test_chars(self, stops, lexicon, excerpt_text):
         # To(2) Sherlock(8) Holmes(6) she(3) is(2) always(6) the(3) woman(5)
         doc = document_from_text("x", excerpt_text, stops, lexicon)
-        assert sentence_length(doc.sentences[0], MeasureKind.CHARS) == 35
+        assert extract_series(doc, MeasureKind.CHARS).values[0] == 35
 
     def test_six_series_of_length_four(self, stops, lexicon, excerpt_text):
         doc = document_from_text("x", excerpt_text, stops, lexicon)

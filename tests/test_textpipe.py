@@ -1,19 +1,23 @@
 import string
+import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentlen import (
+    CANONICAL_ORDER,
     IngestionError,
     LemmaLexicon,
+    MeasureKind,
     StopwordList,
-    lemmatize,
     load_document,
-    remove_stopwords,
     segment_sentences,
+    sentence_tokens,
     tokenize,
 )
-from sentlen.textpipe import Sentence, document_from_text
+from sentlen.textpipe import document_from_text, sentence_lengths
 
 
 class TestSegmentation:
@@ -67,60 +71,60 @@ class TestTokenize:
 
 
 class TestStopwords:
-    def test_table_sentence_one(self, stops):
-        sent = Sentence(tokens=tuple(
-            tokenize("To Sherlock Holmes she is always the woman")), index=0)
-        kept = remove_stopwords(sent, stops)
-        assert [t.normalized for t in kept.tokens] == [
+    def test_table_sentence_one(self, stops, lexicon):
+        (tokens,) = sentence_tokens(
+            "To Sherlock Holmes she is always the woman", stops, lexicon)
+        assert [t.normalized for t in tokens if not t.is_stop] == [
             "sherlock", "holmes", "always", "woman"]
 
-    def test_table_sentence_two(self, stops):
-        sent = Sentence(tokens=tuple(tokenize(
-            "I have seldom heard him mention her under any other name")),
-            index=0)
-        kept = remove_stopwords(sent, stops)
-        assert [t.normalized for t in kept.tokens] == [
+    def test_table_sentence_two(self, stops, lexicon):
+        (tokens,) = sentence_tokens(
+            "I have seldom heard him mention her under any other name",
+            stops, lexicon)
+        assert [t.normalized for t in tokens if not t.is_stop] == [
             "seldom", "heard", "mention", "name"]
 
-    def test_all_stopwords_removed(self, stops):
-        sent = Sentence(tokens=tuple(tokenize("it was not the only own")),
-                        index=3)
-        kept = remove_stopwords(sent, stops)
-        assert kept.tokens == ()
-        assert kept.index == 3
+    def test_all_stopwords_removed(self, stops, lexicon):
+        # an all-stopword sentence keeps its place (index 3) in every series
+        text = "Sherlock. Holmes. Watson. it was not the only own"
+        tokens = sentence_tokens(text, stops, lexicon)
+        assert [t for t in tokens[3] if not t.is_stop] == []
+        lengths = sentence_lengths(text, stops, lexicon)
+        assert lengths.shape == (6, 4)
+        # it(2) was(3, lemma "be") not(3) the(3) only(4) own(3)
+        assert lengths[:, 3].tolist() == [6, 18, 17, 0, 0, 0]
 
-    def test_idempotent(self, stops):
-        sent = Sentence(tokens=tuple(tokenize(
-            "In his eyes she eclipses and predominates the whole of her sex")),
-            index=0)
-        once = remove_stopwords(sent, stops)
-        assert remove_stopwords(once, stops) == once
+    def test_idempotent(self, stops, lexicon):
+        (tokens,) = sentence_tokens(
+            "In his eyes she eclipses and predominates the whole of her sex",
+            stops, lexicon)
+        once = tuple(t for t in tokens if not t.is_stop)
+        (again,) = sentence_tokens(" ".join(t.surface for t in once),
+                                   stops, lexicon)
+        assert tuple(t for t in again if not t.is_stop) == once
 
 
 class TestLemmatize:
-    def test_table_example(self, lexicon):
-        sent = Sentence(tokens=tuple(tokenize("she is always the woman")),
-                        index=0)
-        out = lemmatize(sent, lexicon)
-        assert [t.lemma for t in out.tokens] == [
+    def test_table_example(self, stops, lexicon):
+        (tokens,) = sentence_tokens("she is always the woman", stops, lexicon)
+        assert [t.lemma for t in tokens] == [
             "she", "be", "always", "the", "woman"]
 
-    def test_inflected_verbs(self, lexicon):
-        sent = Sentence(tokens=tuple(tokenize("eclipses and predominates")),
-                        index=0)
-        out = lemmatize(sent, lexicon)
-        assert [t.lemma for t in out.tokens] == [
+    def test_inflected_verbs(self, stops, lexicon):
+        (tokens,) = sentence_tokens("eclipses and predominates", stops, lexicon)
+        assert [t.lemma for t in tokens] == [
             "eclipse", "and", "predominate"]
 
-    def test_identity_fallback(self, lexicon):
-        sent = Sentence(tokens=tuple(tokenize("sherlock xyzzy")), index=0)
-        out = lemmatize(sent, lexicon)
-        assert [t.lemma for t in out.tokens] == ["sherlock", "xyzzy"]
+    def test_identity_fallback(self, stops, lexicon):
+        (tokens,) = sentence_tokens("sherlock xyzzy", stops, lexicon)
+        assert [t.lemma for t in tokens] == ["sherlock", "xyzzy"]
 
-    def test_token_count_preserved(self, lexicon):
-        sent = Sentence(tokens=tuple(tokenize(
-            "It was not that he felt any emotion akin to love")), index=0)
-        assert len(lemmatize(sent, lexicon).tokens) == len(sent.tokens)
+    def test_token_count_preserved(self, stops, lexicon):
+        text = "It was not that he felt any emotion akin to love"
+        (tokens,) = sentence_tokens(text, stops, lexicon)
+        assert len(tokens) == len(tokenize(text))
+        words = sentence_lengths(text, stops, lexicon)[0]
+        assert words.tolist() == [len(tokens)]
 
 
 class TestLoadDocument:
@@ -131,7 +135,10 @@ class TestLoadDocument:
         doc = load_document(path, stops, lexicon)
         assert doc.id == "excerpt"
         assert doc.sentence_count == 4
-        assert [s.index for s in doc.sentences] == [0, 1, 2, 3]
+        assert doc.lengths.shape == (6, 4)
+        # column i of the array is sentence i of the inspection helper
+        assert doc.lengths[0].tolist() == [
+            len(s) for s in sentence_tokens(excerpt_text, stops, lexicon)]
 
     def test_empty_file(self, tmp_path, stops, lexicon):
         path = tmp_path / "empty.txt"
@@ -143,7 +150,7 @@ class TestLoadDocument:
         path.write_text("hello world", encoding="utf-8")
         doc = load_document(path, stops, lexicon)
         assert doc.sentence_count == 1
-        assert len(doc.sentences[0].tokens) == 2
+        assert doc.lengths[0].tolist() == [2]
 
     def test_missing_file(self, tmp_path, stops, lexicon):
         with pytest.raises(IngestionError):
@@ -157,11 +164,103 @@ class TestLoadDocument:
 
     def test_tokens_carry_stop_status_and_lemma(self, stops, lexicon,
                                                 excerpt_text):
-        doc = document_from_text("x", excerpt_text, stops, lexicon)
-        first = doc.sentences[0].tokens
+        first = sentence_tokens(excerpt_text, stops, lexicon)[0]
         assert [t.is_stop for t in first] == [
             True, False, False, True, True, False, True, False]
         assert first[4].lemma == "be"
+
+    def test_lengths_are_read_only(self, stops, lexicon, excerpt_text):
+        doc = document_from_text("x", excerpt_text, stops, lexicon)
+        assert doc.lengths.dtype == np.int64
+        with pytest.raises(ValueError):
+            doc.lengths[0, 0] = 1
+
+
+class TestUnicode:
+    TEXT = "The café served résumé coffee. Naïve."
+    #: per measure in CANONICAL_ORDER, per sentence; "the" is a stopword
+    EXPECTED = [[5, 1], [25, 5], [25, 5], [4, 1], [22, 5], [22, 5]]
+
+    @pytest.mark.parametrize("form", ["NFC", "NFD", "NFKC", "NFKD"])
+    def test_normal_form_does_not_change_the_series(self, stops, lexicon,
+                                                    form):
+        text = unicodedata.normalize(form, self.TEXT)
+        assert sentence_lengths(text, stops, lexicon).tolist() == self.EXPECTED
+        surfaces = [t.surface for s in sentence_tokens(text, stops, lexicon)
+                    for t in s]
+        assert surfaces == ["The", "café", "served", "résumé", "coffee",
+                            "Naïve"]
+
+    def test_resource_files_match_in_any_normal_form(self, tmp_path):
+        (tmp_path / "stops.txt").write_text(
+            unicodedata.normalize("NFD", "café\n"), encoding="utf-8")
+        (tmp_path / "lemmas.tsv").write_text(
+            unicodedata.normalize("NFD", "résumé\tresume\n"), encoding="utf-8")
+        stops = StopwordList.from_file(tmp_path / "stops.txt")
+        lexicon = LemmaLexicon.from_file(tmp_path / "lemmas.tsv")
+        lengths = sentence_lengths(self.TEXT, stops, lexicon)
+        # N_l: the lemma "resume" has 6 code points, as does "résumé"
+        assert lengths[:, 0].tolist() == [5, 25, 25, 4, 21, 21]
+        (first, _) = sentence_tokens(self.TEXT, stops, lexicon)
+        assert [t.lemma for t in first][3] == "resume"
+        assert [t.is_stop for t in first] == [False, True, False, False, False]
+
+
+def _reference_lengths(tokens) -> list[int]:
+    """The six measures of one sentence, recomputed from its tokens:
+    words count tokens, character measures sum the relevant form's code
+    points, non-stop variants drop stopword tokens first."""
+    kept = [t for t in tokens if not t.is_stop]
+    by_kind = {
+        MeasureKind.WORDS: len(tokens),
+        MeasureKind.CHARS: sum(len(t.surface) for t in tokens),
+        MeasureKind.LEMMA_CHARS: sum(len(t.lemma) for t in tokens),
+        MeasureKind.NONSTOP_WORDS: len(kept),
+        MeasureKind.NONSTOP_CHARS: sum(len(t.surface) for t in kept),
+        MeasureKind.NONSTOP_LEMMA_CHARS: sum(len(t.lemma) for t in kept),
+    }
+    return [by_kind[kind] for kind in CANONICAL_ORDER]
+
+
+_PROPERTY_STOPS = StopwordList(["the", "a", "it's", "café", "x_y"])
+_PROPERTY_LEMMAS = LemmaLexicon({"eyes": "eye", "was": "be", "naïve": "naive",
+                                 "half-done": "do", "ß": "ss"})
+_PIECES = st.one_of(
+    st.sampled_from(["The", "the", "A", "it's", "It's", "café", "CAFÉ",
+                     "eyes", "was", "naïve", "Naïve", "half-done", "x_y",
+                     "_x_", "'quoted'", "--", "ß", "İ", "...", "?!", "Mr.",
+                     "e\u0301", "\u0301", "١٢٣"]),
+    st.text(alphabet="ab'-_.!?,;\"()é\u0301 \n\t", max_size=8),
+    st.text(max_size=6),
+)
+_TEXTS = st.lists(_PIECES, max_size=40).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_TEXTS)
+def test_array_matches_the_inspection_helper(text):
+    for stops, lexicon in ((_PROPERTY_STOPS, _PROPERTY_LEMMAS),
+                           (StopwordList(), LemmaLexicon())):
+        lengths = sentence_lengths(text, stops, lexicon)
+        sentences = sentence_tokens(text, stops, lexicon)
+        assert lengths.shape == (6, len(sentences))
+        for i, tokens in enumerate(sentences):
+            assert tokens, "every kept sentence has a word"
+            assert lengths[:, i].tolist() == _reference_lengths(tokens)
+        assert len(sentences) == len(segment_sentences(
+            unicodedata.normalize("NFC", text)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_TEXTS, form=st.sampled_from(["NFD", "NFKC", "NFKD"]))
+def test_canonically_equivalent_text_gives_the_same_array(text, form):
+    # NFC of any canonically equivalent form is the same string; NFKC/NFKD
+    # may differ, so they only need to agree with their own NFC
+    other = unicodedata.normalize(form, text)
+    same = text if form == "NFD" else unicodedata.normalize("NFC", other)
+    assert np.array_equal(
+        sentence_lengths(other, _PROPERTY_STOPS, _PROPERTY_LEMMAS),
+        sentence_lengths(same, _PROPERTY_STOPS, _PROPERTY_LEMMAS))
 
 
 class TestResourceLoading:
