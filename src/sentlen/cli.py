@@ -69,7 +69,8 @@ def run_analyze(args) -> int:
     log.info("analyzed %d books (%d skipped), wrote %d files to %s",
              summary.book_count, len(summary.skipped), len(written), args.out)
     if summary.book_count == 0:
-        log.error("no book passed the sentence floor")
+        log.error("no book was analyzed: %s", "; ".join(
+            f"{s.book_id}: {s.reason}" for s in summary.skipped))
         return 1
     return 0
 

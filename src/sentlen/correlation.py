@@ -17,7 +17,6 @@ import numpy as np
 from scipy.stats import rankdata
 from scipy.stats import t as t_dist
 
-from .distribution import LinearMap
 from .exceptions import DegenerateInputError
 
 EXACT_PVALUE_BELOW_N = 10
@@ -26,6 +25,15 @@ EXACT_PVALUE_BELOW_N = 10
 @dataclass(frozen=True)
 class PearsonResult:
     r: float
+
+
+@dataclass(frozen=True)
+class LinearMap:
+    alpha: float
+    beta: float
+
+    def apply(self, x):
+        return self.alpha * np.asarray(x, dtype=float) + self.beta
 
 
 @dataclass(frozen=True)

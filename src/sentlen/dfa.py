@@ -11,14 +11,15 @@ a log-log fit of F(m) against m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DegenerateInputError
 
 DEFAULT_MIN_WINDOW = 8
-DEFAULT_MAX_FRACTION = 0.25
+#: largest window over series length; `fluctuation` needs m <= n // 4
+MAX_FRACTION = DEFAULT_MAX_FRACTION = 0.25
 DEFAULT_NUM_WINDOWS = 16
 #: positive fluctuation points a Hurst fit needs; a grid of fewer windows
 #: can never provide them
@@ -29,8 +30,6 @@ MIN_FIT_POINTS = 4
 class DfaConfig:
     detrend_degree: int = 1
     window_sizes: tuple[int, ...] = ()
-    fit_range: tuple[int, int] | None = None
-    shuffle_seed: int = 0
 
     def validate(self, series_length: int) -> None:
         if self.detrend_degree < 1:
@@ -68,12 +67,10 @@ def log_spaced_windows(n: int, min_window: int = DEFAULT_MIN_WINDOW,
 def default_config(n: int, detrend_degree: int = 1,
                    min_window: int = DEFAULT_MIN_WINDOW,
                    max_fraction: float = DEFAULT_MAX_FRACTION,
-                   num: int = DEFAULT_NUM_WINDOWS,
-                   shuffle_seed: int = 0) -> DfaConfig:
+                   num: int = DEFAULT_NUM_WINDOWS) -> DfaConfig:
     windows = log_spaced_windows(n, max(min_window, detrend_degree + 2),
                                  max_fraction, num)
-    return DfaConfig(detrend_degree=detrend_degree, window_sizes=windows,
-                     shuffle_seed=shuffle_seed)
+    return DfaConfig(detrend_degree=detrend_degree, window_sizes=windows)
 
 
 @dataclass(frozen=True)
@@ -136,19 +133,15 @@ def dfa_curve(series, config: DfaConfig) -> FluctuationCurve:
     return FluctuationCurve(points=points)
 
 
-def estimate_hurst(curve: FluctuationCurve,
-                   fit_range: tuple[int, int] | None = None) -> HurstEstimate:
-    """Least-squares fit of log F against log m over fit_range."""
+def estimate_hurst(curve: FluctuationCurve) -> HurstEstimate:
+    """Least-squares fit of log F against log m over the positive points."""
     m = curve.window_sizes
     f = curve.fluctuations
     mask = f > 0
-    if fit_range is not None:
-        lo, hi = fit_range
-        mask &= (m >= lo) & (m <= hi)
     if int(mask.sum()) < MIN_FIT_POINTS:
         raise DegenerateInputError(
             f"undefined exponent: fewer than {MIN_FIT_POINTS} positive "
-            "fluctuation points in the fit range"
+            "fluctuation points"
         )
     lm = np.log(m[mask])
     lf = np.log(f[mask])
@@ -161,13 +154,13 @@ def estimate_hurst(curve: FluctuationCurve,
 
 
 def hurst_of_series(series, config: DfaConfig) -> HurstEstimate:
-    return estimate_hurst(dfa_curve(series, config), config.fit_range)
+    return estimate_hurst(dfa_curve(series, config))
 
 
-def shuffled_hurst(series, config: DfaConfig) -> float:
-    """Hurst exponent of a seeded uniform random permutation of the
-    series; the expected value for any ordering-driven persistence is 0.5."""
-    series = np.asarray(series, dtype=float)
-    rng = np.random.default_rng(config.shuffle_seed)
-    shuffled = rng.permutation(series)
+def shuffled_hurst(series, config: DfaConfig, seed: int) -> float:
+    """Hurst exponent of a uniform random permutation of the series drawn
+    from `seed`; the expected value for any ordering-driven persistence
+    is 0.5."""
+    shuffled = np.random.default_rng(seed).permutation(
+        np.asarray(series, dtype=float))
     return hurst_of_series(shuffled, config).h

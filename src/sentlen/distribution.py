@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import LinearMap, fit_linear_map  # noqa: F401 (re-export)
 from .exceptions import DegenerateInputError
 
 
@@ -41,15 +42,6 @@ class KsResult:
     kappa: float
     p_value: float
     accepted: bool
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    alpha: float
-    beta: float
-
-    def apply(self, x):
-        return self.alpha * np.asarray(x, dtype=float) + self.beta
 
 
 @dataclass(frozen=True)
@@ -116,8 +108,6 @@ def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult
     """Fit y = alpha*x + beta by least squares, map x through it, then
     KS-compare the mapped values against y.  No mean normalization: the
     map already aligns location and scale."""
-    from .correlation import fit_linear_map
-
     lm = fit_linear_map(x_series, y_series)
     mapped = lm.apply(x_series)
     return ks_two_sample(mapped, np.asarray(y_series, dtype=float), threshold)

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -51,6 +52,8 @@ class AnalysisConfig:
             ("dfa_degree", self.dfa_degree >= 1, ">= 1"),
             ("dfa_points", self.dfa_points >= dfa.MIN_FIT_POINTS,
              f">= {dfa.MIN_FIT_POINTS}"),
+            ("dfa_max_fraction", 0 < self.dfa_max_fraction <= dfa.MAX_FRACTION,
+             f"in (0, {dfa.MAX_FRACTION}]"),
             ("seed", self.seed >= 0, ">= 0"),
             ("p_threshold", 0 < self.p_threshold < 1, "in (0, 1)"),
             ("min_sentences", self.min_sentences >= 0, ">= 0"),
@@ -73,7 +76,7 @@ class ComparisonResult:
     gamma: correlation.RankTestResult
     ks_plain: distribution.KsResult
     ks_mapped: distribution.KsResult
-    linear_map: distribution.LinearMap
+    linear_map: correlation.LinearMap
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ def _resources(stopwords_path, lemmas_path):
 
 
 def _shuffle_seed(config: AnalysisConfig, book_id: str, kind: MeasureKind,
-                  index: int = 0) -> int:
+                  index: int) -> int:
     # stable across runs and worker scheduling; hash() is salted, so use sha256
     digest = hashlib.sha256(f"{book_id}/{kind.label}/{index}".encode()).digest()
     return (config.seed << 64) ^ int.from_bytes(digest[:8], "big")
@@ -122,7 +125,8 @@ def _shuffle_seed(config: AnalysisConfig, book_id: str, kind: MeasureKind,
 
 def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
     """Full per-book pipeline.  Returns SkippedBook for books below the
-    sentence floor; raises IngestionError for unreadable files."""
+    sentence floor; raises IngestionError for unreadable files and
+    DegenerateInputError for a book too short for the DFA windows."""
     path = Path(path)
     stops, lexicon = _resources(config.stopwords_path, config.lemmas_path)
     doc = textpipe.load_document(path, stops, lexicon)
@@ -132,6 +136,11 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
             reason=(f"only {doc.sentence_count} sentences "
                     f"(floor {config.min_sentences})"),
         )
+    # all six series share the sentence count, so one window grid serves all
+    dfa_config = dfa.default_config(
+        doc.sentence_count, detrend_degree=config.dfa_degree,
+        min_window=config.dfa_min_window,
+        max_fraction=config.dfa_max_fraction, num=config.dfa_points)
     series = extract_all(doc)
 
     comparisons = []
@@ -155,17 +164,10 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
 
     hurst = {}
     for s in series:
-        cfg = dfa.default_config(
-            len(s), detrend_degree=config.dfa_degree,
-            min_window=config.dfa_min_window,
-            max_fraction=config.dfa_max_fraction,
-            num=config.dfa_points,
-            shuffle_seed=_shuffle_seed(config, doc.id, s.kind),
-        )
-        est = dfa.hurst_of_series(s.values, cfg)
+        est = dfa.hurst_of_series(s.values, dfa_config)
         h_star = float(np.mean([
-            dfa.shuffled_hurst(s.values, dataclasses.replace(
-                cfg, shuffle_seed=_shuffle_seed(config, doc.id, s.kind, k)))
+            dfa.shuffled_hurst(s.values, dfa_config,
+                               _shuffle_seed(config, doc.id, s.kind, k))
             for k in range(config.n_shuffles)
         ]))
         hurst[s.kind] = dataclasses.replace(est, h_shuffled=h_star)
@@ -182,10 +184,15 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
 
 
 def _safe_analyze(path, config):
+    """analyze_book; any error becomes a SkippedBook, never fatal."""
     try:
         return analyze_book(path, config)
     except (IngestionError, DegenerateInputError) as exc:
         return SkippedBook(book_id=Path(path).stem, reason=str(exc))
+    except Exception as exc:
+        log.exception("analysis of %s failed", path)
+        return SkippedBook(book_id=Path(path).stem,
+                           reason=f"failed: {type(exc).__name__}: {exc}")
 
 
 def hurst_length_correlation(reports) -> float:
@@ -294,28 +301,43 @@ def _jnum(x):
     return float(format(float(x), ".6g"))
 
 
+#: One entry per comparison field, in book-CSV column order: (attribute
+#: path on ComparisonResult, key path in the book JSON record, book-CSV
+#: column or None).  The JSON record also holds "pair"; the CSV row starts
+#: with measure_x, measure_y.
+_COMPARISON_FIELDS = (
+    ("pearson.r", "pearson_r", "pearson_r"),
+    ("spearman.statistic", "spearman.statistic", "spearman_rho"),
+    ("spearman.p_value", "spearman.p_value", "spearman_p"),
+    ("spearman.rejected", "spearman.rejected", None),
+    ("kendall.statistic", "kendall.statistic", "kendall_tau"),
+    ("kendall.p_value", "kendall.p_value", "kendall_p"),
+    ("kendall.rejected", "kendall.rejected", None),
+    ("gamma.statistic", "gamma.statistic", "gamma"),
+    ("gamma.p_value", "gamma.p_value", "gamma_p"),
+    ("gamma.rejected", "gamma.rejected", None),
+    ("ks_plain.kappa", "ks_plain.kappa", "ks_plain_kappa"),
+    ("ks_plain.p_value", "ks_plain.p_value", "ks_plain_p"),
+    ("ks_plain.accepted", "ks_plain.accepted", "ks_plain_accepted"),
+    ("ks_mapped.kappa", "ks_mapped.kappa", "ks_mapped_kappa"),
+    ("ks_mapped.p_value", "ks_mapped.p_value", "ks_mapped_p"),
+    ("ks_mapped.accepted", "ks_mapped.accepted", "ks_mapped_accepted"),
+    ("linear_map.alpha", "linear_map.alpha", "map_alpha"),
+    ("linear_map.beta", "linear_map.beta", "map_beta"),
+)
+
+#: HurstEstimate fields of each measure's entry in the book JSON record
+_HURST_FIELDS = ("h", "intercept", "fit_r2", "h_shuffled")
+
+
 def _comparison_record(c: ComparisonResult) -> dict:
-    return {
-        "pair": [c.pair[0].label, c.pair[1].label],
-        "pearson_r": _jnum(c.pearson.r),
-        "spearman": {"statistic": _jnum(c.spearman.statistic),
-                     "p_value": _jnum(c.spearman.p_value),
-                     "rejected": c.spearman.rejected},
-        "kendall": {"statistic": _jnum(c.kendall.statistic),
-                    "p_value": _jnum(c.kendall.p_value),
-                    "rejected": c.kendall.rejected},
-        "gamma": {"statistic": _jnum(c.gamma.statistic),
-                  "p_value": _jnum(c.gamma.p_value),
-                  "rejected": c.gamma.rejected},
-        "ks_plain": {"kappa": _jnum(c.ks_plain.kappa),
-                     "p_value": _jnum(c.ks_plain.p_value),
-                     "accepted": c.ks_plain.accepted},
-        "ks_mapped": {"kappa": _jnum(c.ks_mapped.kappa),
-                      "p_value": _jnum(c.ks_mapped.p_value),
-                      "accepted": c.ks_mapped.accepted},
-        "linear_map": {"alpha": _jnum(c.linear_map.alpha),
-                       "beta": _jnum(c.linear_map.beta)},
-    }
+    record = {"pair": [c.pair[0].label, c.pair[1].label]}
+    for attr, key, _ in _COMPARISON_FIELDS:
+        group, _, leaf = key.rpartition(".")
+        node = record.setdefault(group, {}) if group else record
+        value = operator.attrgetter(attr)(c)
+        node[leaf] = value if isinstance(value, bool) else _jnum(value)
+    return record
 
 
 def _book_record(rep: BookReport) -> dict:
@@ -324,10 +346,8 @@ def _book_record(rep: BookReport) -> dict:
         "sentence_count": rep.sentence_count,
         "comparisons": [_comparison_record(c) for c in rep.comparisons],
         "hurst": {
-            k.label: {"h": _jnum(est.h),
-                      "intercept": _jnum(est.intercept),
-                      "fit_r2": _jnum(est.fit_r2),
-                      "h_shuffled": _jnum(est.h_shuffled)}
+            k.label: {name: _jnum(getattr(est, name))
+                      for name in _HURST_FIELDS}
             for k, est in sorted(rep.hurst.items(), key=lambda kv: kv[0].label)
         },
         "max_abs_delta_h": _jnum(rep.max_abs_delta_h),
@@ -347,12 +367,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 _BOOK_CSV_HEADER = [
-    "measure_x", "measure_y", "pearson_r",
-    "spearman_rho", "spearman_p", "kendall_tau", "kendall_p",
-    "gamma", "gamma_p",
-    "ks_plain_kappa", "ks_plain_p", "ks_plain_accepted",
-    "ks_mapped_kappa", "ks_mapped_p", "ks_mapped_accepted",
-    "map_alpha", "map_beta",
+    "measure_x", "measure_y",
+    *(column for _, _, column in _COMPARISON_FIELDS if column),
     "hurst_x", "hurst_y", "hurst_shuffled_x", "hurst_shuffled_y",
     "abs_delta_h",
 ]
@@ -363,15 +379,9 @@ def _book_csv_rows(rep: BookReport):
         hx = rep.hurst[c.pair[0]]
         hy = rep.hurst[c.pair[1]]
         yield [
-            c.pair[0].label, c.pair[1].label, _fmt(c.pearson.r),
-            _fmt(c.spearman.statistic), _fmt(c.spearman.p_value),
-            _fmt(c.kendall.statistic), _fmt(c.kendall.p_value),
-            _fmt(c.gamma.statistic), _fmt(c.gamma.p_value),
-            _fmt(c.ks_plain.kappa), _fmt(c.ks_plain.p_value),
-            _fmt(c.ks_plain.accepted),
-            _fmt(c.ks_mapped.kappa), _fmt(c.ks_mapped.p_value),
-            _fmt(c.ks_mapped.accepted),
-            _fmt(c.linear_map.alpha), _fmt(c.linear_map.beta),
+            c.pair[0].label, c.pair[1].label,
+            *(_fmt(operator.attrgetter(attr)(c))
+              for attr, _, column in _COMPARISON_FIELDS if column),
             _fmt(hx.h), _fmt(hy.h), _fmt(hx.h_shuffled), _fmt(hy.h_shuffled),
             _fmt(abs(hx.h - hy.h)),
         ]
@@ -446,16 +456,11 @@ def emit_reports(summary: CorpusSummary, reports, out_dir,
         written.append(path)
     if "csv" in formats:
         path = out_dir / "summary.csv"
-        record = _summary_record(summary)
-        rows = [
-            ["book_count", record["book_count"]],
-            ["comparison_count", record["comparison_count"]],
-            ["mean_pearson_r", _fmt(record["mean_pearson_r"])],
-            ["ks_plain_acceptance_pct", _fmt(record["ks_plain_acceptance_pct"])],
-            ["ks_mapped_acceptance_pct", _fmt(record["ks_mapped_acceptance_pct"])],
-            ["h_vs_length_r", _fmt(record["h_vs_length_r"])],
-        ]
-        _write_csv(path, ["key", "value"], rows)
+        # the scalar entries of the JSON summary, in its order
+        _write_csv(path, ["key", "value"],
+                   [[key, _fmt(value)]
+                    for key, value in _summary_record(summary).items()
+                    if not isinstance(value, list)])
         written.append(path)
 
     plot_files = [
@@ -485,13 +490,3 @@ def emit_reports(summary: CorpusSummary, reports, out_dir,
                    [[s.book_id, s.reason] for s in summary.skipped])
         written.append(path)
     return written
-
-
-def export_series_csv(series, out_dir) -> Path:
-    """CSV export of one length series: sentence_index,value."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{series.book_id}__{series.kind.label}.csv"
-    _write_csv(path, ["sentence_index", "value"],
-               [[i, int(v)] for i, v in enumerate(series.values)])
-    return path

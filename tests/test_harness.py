@@ -1,25 +1,29 @@
 import json
+import textwrap
 
 import numpy as np
 import pytest
 
 from sentlen import harness, textpipe
 from sentlen.cli import main as cli_main
+from sentlen.correlation import PearsonResult, RankTestResult
+from sentlen.dfa import HurstEstimate
+from sentlen.distribution import KsResult, LinearMap
 from sentlen.exceptions import ConfigError, DegenerateInputError, IngestionError
 from sentlen.harness import (
     PAIR_INDICES,
     AnalysisConfig,
     BookReport,
+    ComparisonResult,
+    CorpusSummary,
     SkippedBook,
     analyze_book,
     analyze_corpus,
     emit_reports,
-    export_series_csv,
     hurst_length_correlation,
     summarize,
 )
-from sentlen.series import MeasureKind, extract_series
-from sentlen.textpipe import document_from_text
+from sentlen.series import MeasureKind
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,27 @@ class TestAnalyzeCorpus:
         summary, reports = analyze_corpus(tmp_path, AnalysisConfig())
         assert summary.book_count == 2
         assert {s.book_id for s in summary.skipped} == {"broken", "tiny"}
+
+    def test_unexpected_error_recorded_not_fatal(self, small_corpus_dir,
+                                                 tmp_path, monkeypatch,
+                                                 caplog):
+        failing, other = sorted(small_corpus_dir.glob("*.txt"))
+        load_document = textpipe.load_document
+
+        def load_or_fail(path, *args):
+            if path == failing:
+                raise RuntimeError("injected")
+            return load_document(path, *args)
+
+        monkeypatch.setattr(textpipe, "load_document", load_or_fail)
+        summary, reports = analyze_corpus(small_corpus_dir,
+                                          AnalysisConfig(jobs=1))
+        assert [r.book_id for r in reports] == [other.stem]
+        assert any(r.levelname == "ERROR" and r.exc_info
+                   and str(failing) in r.getMessage() for r in caplog.records)
+        emit_reports(summary, reports, tmp_path, formats=("csv",))
+        assert (tmp_path / "skipped.csv").read_text() == (
+            f"book_id,reason\n{failing.stem},failed: RuntimeError: injected\n")
 
     def test_aggregate_cdfs_sorted(self, small_results):
         summary, _ = small_results
@@ -177,14 +202,139 @@ class TestEmitReports:
         assert (out / "skipped.csv").exists()
 
 
-def test_export_series_csv(tmp_path, stops, lexicon, excerpt_text):
-    doc = document_from_text("excerpt", excerpt_text, stops, lexicon)
-    series = extract_series(doc, MeasureKind.WORDS)
-    path = export_series_csv(series, tmp_path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sentence_index,value"
-    assert lines[1] == "0,8"
-    assert len(lines) == 5
+W, C = MeasureKind.WORDS, MeasureKind.CHARS
+
+
+def _golden_outputs(tmp_path):
+    """Emit a one-comparison book and a summary built from fixed numbers,
+    no analysis, so the expected files below pin the output schema."""
+    comparison = ComparisonResult(
+        pair=(W, C),
+        pearson=PearsonResult(r=0.9876543219),
+        spearman=RankTestResult(0.91234567, 2.5e-12, 0.01),
+        kendall=RankTestResult(0.75, 0.0, 0.01),
+        gamma=RankTestResult(0.8333333333, 0.0125, 0.01),
+        ks_plain=KsResult(kappa=0.0257191234, p_value=0.27894, accepted=True),
+        ks_mapped=KsResult(kappa=0.125, p_value=0.00123456789,
+                           accepted=False),
+        linear_map=LinearMap(alpha=4.832814, beta=-4.65820001),
+    )
+    report = BookReport(
+        book_id="golden",
+        sentence_count=2955,
+        comparisons=(comparison,),
+        hurst={W: HurstEstimate(0.684531, -0.25, 0.99912345, 0.4827291),
+               C: HurstEstimate(0.682993, 1.5, 0.9, 0.494155)},
+        max_abs_delta_h=0.0123,
+    )
+    plain = np.full((6, 6), np.nan)
+    mapped = np.full((6, 6), np.nan)
+    plain[0, 1] = 100.0
+    mapped[0, 1] = 200.0 / 3.0
+    summary = CorpusSummary(
+        book_count=1,
+        skipped=(SkippedBook("tiny", "only 4 sentences (floor 200)"),),
+        sentence_count_histogram=((0, 0), (1000, 0), (2000, 1)),
+        r_values=np.array([0.5, 0.9876543219]),
+        kappa_values=np.array([0.0257191234]),
+        delta_h_values=np.array([0.001538]),
+        acceptance_plain=plain,
+        acceptance_mapped=mapped,
+        h_vs_length_r=None,
+    )
+    out = tmp_path / "out"
+    emit_reports(summary, [report], out, formats=("json", "csv"))
+    return out
+
+
+class TestOutputSchema:
+    def test_book_csv(self, tmp_path):
+        out = _golden_outputs(tmp_path)
+        assert (out / "books" / "golden.csv").read_text() == (
+            "measure_x,measure_y,pearson_r,spearman_rho,spearman_p,"
+            "kendall_tau,kendall_p,gamma,gamma_p,ks_plain_kappa,ks_plain_p,"
+            "ks_plain_accepted,ks_mapped_kappa,ks_mapped_p,"
+            "ks_mapped_accepted,map_alpha,map_beta,hurst_x,hurst_y,"
+            "hurst_shuffled_x,hurst_shuffled_y,abs_delta_h\n"
+            "N_w,N_c,0.987654,0.912346,2.5e-12,0.75,0,0.833333,0.0125,"
+            "0.0257191,0.27894,true,0.125,0.00123457,false,4.83281,-4.6582,"
+            "0.684531,0.682993,0.482729,0.494155,0.001538\n")
+
+    def test_book_json(self, tmp_path):
+        out = _golden_outputs(tmp_path)
+        expected = textwrap.dedent("""\
+            {
+              "book_id": "golden",
+              "comparisons": [
+                {
+                  "gamma": {
+                    "p_value": 0.0125,
+                    "rejected": false,
+                    "statistic": 0.833333
+                  },
+                  "kendall": {
+                    "p_value": 0.0,
+                    "rejected": true,
+                    "statistic": 0.75
+                  },
+                  "ks_mapped": {
+                    "accepted": false,
+                    "kappa": 0.125,
+                    "p_value": 0.00123457
+                  },
+                  "ks_plain": {
+                    "accepted": true,
+                    "kappa": 0.0257191,
+                    "p_value": 0.27894
+                  },
+                  "linear_map": {
+                    "alpha": 4.83281,
+                    "beta": -4.6582
+                  },
+                  "pair": [
+                    "N_w",
+                    "N_c"
+                  ],
+                  "pearson_r": 0.987654,
+                  "spearman": {
+                    "p_value": 2.5e-12,
+                    "rejected": true,
+                    "statistic": 0.912346
+                  }
+                }
+              ],
+              "hurst": {
+                "N_c": {
+                  "fit_r2": 0.9,
+                  "h": 0.682993,
+                  "h_shuffled": 0.494155,
+                  "intercept": 1.5
+                },
+                "N_w": {
+                  "fit_r2": 0.999123,
+                  "h": 0.684531,
+                  "h_shuffled": 0.482729,
+                  "intercept": -0.25
+                }
+              },
+              "max_abs_delta_h": 0.0123,
+              "sentence_count": 2955
+            }
+            """)
+        assert (out / "books" / "golden.json").read_text() == expected
+
+    def test_summary_csv(self, tmp_path):
+        out = _golden_outputs(tmp_path)
+        assert (out / "summary.csv").read_text() == (
+            "key,value\n"
+            "book_count,1\n"
+            "comparison_count,2\n"
+            "mean_pearson_r,0.743827\n"
+            "ks_plain_acceptance_pct,100\n"
+            "ks_mapped_acceptance_pct,66.6667\n"
+            "h_vs_length_r,\n")
+        assert (out / "skipped.csv").read_text() == (
+            "book_id,reason\ntiny,only 4 sentences (floor 200)\n")
 
 
 def test_summarize_histogram_binning(small_results):
@@ -203,6 +353,17 @@ class TestCli:
         assert code == 0
         assert (out / "summary.csv").exists()
 
+    def test_all_skipped_names_the_reasons(self, small_corpus_dir, tmp_path,
+                                           caplog):
+        code = cli_main(["analyze", str(small_corpus_dir), "--out",
+                         str(tmp_path / "out"), "--dfa-min", "100000"])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "too short for DFA" in errors[0]
+        assert "sentence floor" not in errors[0]
+
     def test_missing_directory_fails(self, tmp_path):
         code = cli_main(["analyze", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "out")])
@@ -214,6 +375,9 @@ BAD_SETTINGS = [
     ("hist_bin_width", "--hist-bin-width", 0),
     ("dfa_degree", "--dfa-degree", 0),
     ("dfa_points", "--dfa-points", 3),
+    ("dfa_max_fraction", "--dfa-max-frac", 0),
+    ("dfa_max_fraction", "--dfa-max-frac", 0.5),
+    ("dfa_max_fraction", "--dfa-max-frac", 2),
     ("seed", "--seed", -1),
     ("p_threshold", "--p-threshold", 0.0),
     ("p_threshold", "--p-threshold", 1.0),
@@ -246,9 +410,9 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_boundary_values_accepted(self):
-        AnalysisConfig(hist_bin_width=1, dfa_degree=1, dfa_points=4, seed=0,
-                       p_threshold=1e-9, min_sentences=0, n_shuffles=1,
-                       jobs=1)
+        AnalysisConfig(hist_bin_width=1, dfa_degree=1, dfa_points=4,
+                       dfa_max_fraction=0.25, seed=0, p_threshold=1e-9,
+                       min_sentences=0, n_shuffles=1, jobs=1)
 
 
 @pytest.mark.parametrize("jobs,cpus,expected", [
