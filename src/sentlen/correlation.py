@@ -72,28 +72,37 @@ def pearson(x, y) -> PearsonResult:
     return PearsonResult(r=float(np.dot(dx, dy)) / (sx * sy))
 
 
-def _count_inversions(values: list) -> int:
-    """Strict inversions (i < j with values[i] > values[j]) by merge sort."""
-    n = len(values)
+def _count_inversions(values) -> int:
+    """Strict inversions (i < j with values[i] > values[j]), exactly.
+
+    A bottom-up merge over dense integer ranks: the array is padded to a
+    power of two with a rank above every real one (at the end, so the pad
+    adds no strict inversion), and each level counts, for every element
+    of a right half, the elements of its sorted left half that exceed it,
+    with one global `searchsorted` (a per-block offset keeps the blocks
+    apart), then sorts each merged block.
+    """
+    values = np.asarray(values)
+    n = values.size
     if n < 2:
         return 0
-    mid = n // 2
-    left = values[:mid]
-    right = values[mid:]
-    count = _count_inversions(left) + _count_inversions(right)
-    i = j = k = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            values[k] = left[i]
-            i += 1
-        else:
-            # left[i..] all exceed right[j]
-            count += len(left) - i
-            values[k] = right[j]
-            j += 1
-        k += 1
-    values[k:] = left[i:] if i < len(left) else right[j:]
-    return count
+    _, ranks = np.unique(values, return_inverse=True)
+    top = int(ranks.max()) + 1
+    size = 1 << (n - 1).bit_length()
+    a = np.full(size, top, dtype=np.int64)
+    a[:n] = ranks
+    total = 0
+    w = 1
+    while w < size:
+        blocks = a.reshape(-1, 2 * w)
+        b = np.arange(blocks.shape[0], dtype=np.int64)[:, None]
+        keyed = blocks + b * (top + 1)
+        pos = np.searchsorted(keyed[:, :w].ravel(), keyed[:, w:],
+                              side="right")
+        total += int(np.sum((b + 1) * w - pos, dtype=np.int64))
+        a = np.sort(blocks, axis=1).ravel()
+        w *= 2
+    return total
 
 
 def _tie_pair_count(arr: np.ndarray) -> int:
@@ -101,22 +110,33 @@ def _tie_pair_count(arr: np.ndarray) -> int:
     return int(np.sum(counts * (counts - 1)) // 2)
 
 
+def _run_pair_count(same_as_previous: np.ndarray) -> int:
+    """Pairs inside runs of equal neighbours, given for each element but
+    the first whether it equals the one before."""
+    starts = np.flatnonzero(np.concatenate(([True], ~same_as_previous)))
+    runs = np.diff(np.append(starts, same_as_previous.size + 1))
+    return int(np.sum(runs * (runs - 1)) // 2)
+
+
 def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     """(C, D, n0, tx, ty): concordant and discordant pair counts plus
     total pairs and pairs tied in x and in y.
 
     D comes from Knight's algorithm: sort by (x, y) and count strict
-    inversions of y, which skips pairs tied in either coordinate.
+    inversions of y, which skips pairs tied in either coordinate.  Pairs
+    tied in both are the runs of equal (x, y) in that same order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
     n0 = n * (n - 1) // 2
     order = np.lexsort((y, x))
-    d = _count_inversions(list(y[order]))
+    xs = x[order]
+    ys = y[order]
+    d = _count_inversions(ys)
     tx = _tie_pair_count(x)
     ty = _tie_pair_count(y)
-    txy = _tie_pair_count(x + 1j * y)
+    txy = _run_pair_count((xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1]))
     c = n0 - tx - ty + txy - d
     return c, d, n0, tx, ty
 

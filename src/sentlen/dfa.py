@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,6 +102,18 @@ def integrate_profile(series) -> np.ndarray:
     return np.cumsum(arr - arr.mean())
 
 
+@lru_cache(maxsize=64)
+def _detrend_basis(m: int, detrend_degree: int) -> np.ndarray:
+    """Orthonormal basis (m, degree + 1) of the polynomials of the given
+    degree on m points, read-only; projecting onto it is the least-squares
+    polynomial fit."""
+    # centered abscissa keeps the Vandermonde well conditioned
+    t = np.arange(m, dtype=float) - (m - 1) / 2.0
+    basis, _ = np.linalg.qr(np.vander(t, detrend_degree + 1))
+    basis.setflags(write=False)
+    return basis
+
+
 def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
     """RMS residual after per-window polynomial detrending at window size m."""
     profile = np.asarray(profile, dtype=float)
@@ -114,11 +127,8 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
         profile[:s * m].reshape(s, m),
         profile[n - s * m:].reshape(s, m),
     ])
-    # centered abscissa keeps the Vandermonde well conditioned
-    t = np.arange(m, dtype=float) - (m - 1) / 2.0
-    vand = np.vander(t, detrend_degree + 1)
-    coef, _, _, _ = np.linalg.lstsq(vand, windows.T, rcond=None)
-    resid = windows.T - vand @ coef
+    basis = _detrend_basis(m, detrend_degree)
+    resid = windows - (windows @ basis) @ basis.T
     return float(np.sqrt(np.mean(resid ** 2)))
 
 

@@ -354,16 +354,30 @@ def _book_record(rep: BookReport) -> dict:
     }
 
 
+def _write_atomic(path: Path, write) -> None:
+    """Call write(fh) on a temporary file beside `path`, then rename it
+    onto `path`, so a crash never leaves a partial output file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    _write_atomic(path, write)
 
 
 _BOOK_CSV_HEADER = [

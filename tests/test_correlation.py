@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentlen.correlation import (
+    _count_inversions,
     concordance_counts,
     fit_linear_map,
     goodman_kruskal_gamma,
@@ -33,6 +37,41 @@ def brute_pair_counts(x, y):
             elif sx * sy < 0:
                 d += 1
     return c, d, n * (n - 1) // 2, tx, ty
+
+
+def merge_sort_inversions(values) -> int:
+    """Strict inversions by recursive merge sort on a Python list."""
+    values = list(values)
+
+    def count(vals):
+        n = len(vals)
+        if n < 2:
+            return 0
+        left, right = vals[:n // 2], vals[n // 2:]
+        total = count(left) + count(right)
+        i = j = 0
+        merged = []
+        while i < len(left) and j < len(right):
+            if left[i] <= right[j]:
+                merged.append(left[i])
+                i += 1
+            else:
+                # left[i..] all exceed right[j]
+                total += len(left) - i
+                merged.append(right[j])
+                j += 1
+        vals[:] = merged + left[i:] + right[j:]
+        return total
+
+    return count(values)
+
+
+def brute_inversions(values) -> int:
+    """Strict inversions by the O(n^2) double loop."""
+    values = list(values)
+    n = len(values)
+    return sum(values[i] > values[j]
+               for i in range(n - 1) for j in range(i + 1, n))
 
 
 class TestPearson:
@@ -229,3 +268,73 @@ class TestLinearMap:
             lm = fit_linear_map(x, y)
             resid = y - (lm.alpha * x + lm.beta)
             assert abs(np.dot(resid, x - x.mean())) < 1e-9
+
+
+_TIED_INTS = st.lists(st.integers(0, 6), max_size=80)
+_TIED_FLOATS = st.lists(
+    st.sampled_from([-2.5, -0.0, 0.0, 1e-300, 0.1, 0.3, 7.0, 1e300]),
+    max_size=80)
+
+
+class TestCountInversions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.one_of(_TIED_INTS, _TIED_FLOATS),
+           as_float=st.booleans())
+    def test_matches_both_oracles(self, values, as_float):
+        arr = np.asarray(values, dtype=float if as_float else None)
+        result = _count_inversions(arr)
+        assert type(result) is int
+        assert result == merge_sort_inversions(values)
+        assert result == brute_inversions(values)
+
+    @pytest.mark.parametrize("values, expected", [
+        ([], 0), ([3.0], 0), ([1.0, 2.0], 0), ([2.0, 1.0], 1),
+        ([2.0, 2.0], 0),
+    ])
+    def test_tiny(self, values, expected):
+        assert _count_inversions(np.asarray(values)) == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+    def test_sizes_around_powers_of_two(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 5, size=n)
+        assert _count_inversions(values) == brute_inversions(values)
+        assert _count_inversions(np.zeros(n)) == 0
+        assert _count_inversions(np.arange(n)[::-1]) == n * (n - 1) // 2
+        assert _count_inversions(np.arange(n)) == 0
+
+    def test_long_tied_series_matches_merge_sort(self):
+        values = np.random.default_rng(15).integers(1, 40, size=15000)
+        assert _count_inversions(values) == merge_sort_inversions(values)
+
+    def test_long_descending_is_exact(self):
+        n = 15000
+        assert _count_inversions(np.arange(n, 0, -1)) == n * (n - 1) // 2
+
+
+class TestAgainstScipy:
+    """Differential checks against scipy's reference implementations, on
+    long tied integer series like sentence lengths."""
+
+    @pytest.fixture(scope="class")
+    def tied_pairs(self):
+        rng = np.random.default_rng(16)
+        pairs = []
+        for n, high in [(500, 8), (3000, 30), (15000, 25)]:
+            x = rng.integers(1, high, size=n)
+            y = x + rng.integers(0, high, size=n)
+            pairs.append((x, y))
+            pairs.append((x, rng.integers(1, high, size=n)))
+        return pairs
+
+    def test_kendall_tau_b(self, tied_pairs):
+        for x, y in tied_pairs:
+            expected = scipy.stats.kendalltau(x, y, variant="b").statistic
+            assert kendall_tau(x, y).statistic == pytest.approx(
+                expected, abs=1e-12)
+
+    def test_spearman_rho(self, tied_pairs):
+        for x, y in tied_pairs:
+            expected = scipy.stats.spearmanr(x, y).statistic
+            assert spearman(x, y).statistic == pytest.approx(
+                expected, abs=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from sentlen.dfa import (
     DfaConfig,
     FluctuationCurve,
+    _detrend_basis,
     default_config,
     dfa_curve,
     estimate_hurst,
@@ -69,6 +70,47 @@ class TestFluctuation:
             fluctuation(profile, 2, 1)  # underdetermined
         with pytest.raises(ValueError):
             fluctuation(profile, 26, 1)  # exceeds length / 4
+
+
+def lstsq_fluctuation(profile, m, deg):
+    """F(m) by one least-squares solve over all windows against the
+    centered Vandermonde."""
+    n = profile.size
+    s = n // m
+    windows = np.concatenate([profile[:s * m].reshape(s, m),
+                              profile[n - s * m:].reshape(s, m)])
+    vand = np.vander(np.arange(m, dtype=float) - (m - 1) / 2.0, deg + 1)
+    coef, _, _, _ = np.linalg.lstsq(vand, windows.T, rcond=None)
+    return math.sqrt(np.mean((windows.T - vand @ coef) ** 2))
+
+
+class TestProjection:
+    @pytest.mark.parametrize("deg", [1, 2, 3])
+    def test_matches_lstsq_formulation(self, deg):
+        rng = np.random.default_rng(deg)
+        for n in (203, 600):
+            profile = integrate_profile(rng.integers(1, 40, size=n))
+            for m in range(deg + 2, n // 4 + 1):
+                assert fluctuation(profile, m, deg) == pytest.approx(
+                    lstsq_fluctuation(profile, m, deg), rel=1e-12)
+
+    def test_cached_basis_is_read_only_and_orthonormal(self):
+        basis = _detrend_basis(17, 2)
+        assert basis.shape == (17, 3)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+        assert basis.T @ basis == pytest.approx(np.eye(3), abs=1e-12)
+        assert _detrend_basis(17, 2) is basis
+
+    @pytest.mark.parametrize("m, deg", [(2, 1), (3, 2), (4, 3), (26, 1),
+                                        (26, 3)])
+    def test_bad_window_rejected_before_the_cache(self, m, deg):
+        before = _detrend_basis.cache_info()
+        with pytest.raises(ValueError):
+            fluctuation(np.arange(100.0), m, deg)
+        after = _detrend_basis.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestCurve:

@@ -201,6 +201,36 @@ class TestEmitReports:
         emit_reports(summary, reports, out, formats=("json",))
         assert (out / "skipped.csv").exists()
 
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path):
+        def rows():
+            yield ["a", "1"]
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            harness._write_csv(tmp_path / "new.csv", ["key", "value"], rows())
+        with pytest.raises(TypeError):
+            harness._write_json(tmp_path / "new.json", {"a": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_rerun_keeps_previous_files(self, small_results,
+                                                    tmp_path, monkeypatch):
+        summary, reports = small_results
+        out = tmp_path / "out"
+        emit_reports(summary, reports, out, formats=("json", "csv"))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        book_csv_rows = harness._book_csv_rows
+
+        def failing_rows(rep):
+            yield from list(book_csv_rows(rep))[:3]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "_book_csv_rows", failing_rows)
+        with pytest.raises(OSError, match="disk full"):
+            emit_reports(summary, reports, out, formats=("json", "csv"))
+        after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+
 
 W, C = MeasureKind.WORDS, MeasureKind.CHARS
 
