@@ -22,31 +22,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze every .txt book in a directory")
     p.add_argument("input_dir", help="directory of UTF-8 plain-text books")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stopwords", default=None, metavar="FILE",
+    p.add_argument("--stopwords", default=AnalysisConfig.stopwords_path,
+                   metavar="FILE",
                    help="stopword list, one lowercase word per line")
-    p.add_argument("--lemmas", default=None, metavar="FILE",
+    p.add_argument("--lemmas", default=AnalysisConfig.lemmas_path,
+                   metavar="FILE",
                    help="lemma lexicon, 'surface<TAB>lemma' per line")
-    p.add_argument("--dfa-degree", type=int, default=1,
-                   help="polynomial detrending degree (default 1)")
-    p.add_argument("--dfa-min", type=int, default=8,
-                   help="smallest DFA window (default 8)")
-    p.add_argument("--dfa-max-frac", type=float, default=0.25,
-                   help="largest window as a fraction of length (default 0.25)")
-    p.add_argument("--dfa-points", type=int, default=16,
-                   help="number of log-spaced windows (default 16)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed for the shuffled-control permutations")
-    p.add_argument("--p-threshold", type=float, default=0.01,
-                   help="significance threshold (default 0.01)")
-    p.add_argument("--min-sentences", type=int, default=200,
-                   help="skip books below this sentence count (default 200)")
+    p.add_argument("--dfa-degree", type=int, default=AnalysisConfig.dfa_degree,
+                   help="polynomial detrending degree (default %(default)s)")
+    p.add_argument("--dfa-min", type=int,
+                   default=AnalysisConfig.dfa_min_window,
+                   help="smallest DFA window (default %(default)s)")
+    p.add_argument("--dfa-max-frac", type=float,
+                   default=AnalysisConfig.dfa_max_fraction,
+                   help="largest window as a fraction of length "
+                        "(default %(default)s)")
+    p.add_argument("--dfa-points", type=int, default=AnalysisConfig.dfa_points,
+                   help="number of log-spaced windows (default %(default)s)")
+    p.add_argument("--seed", type=int, default=AnalysisConfig.seed,
+                   help="base seed for the shuffled-control permutations "
+                        "(default %(default)s)")
+    p.add_argument("--p-threshold", type=float,
+                   default=AnalysisConfig.p_threshold,
+                   help="significance threshold (default %(default)s)")
+    p.add_argument("--min-sentences", type=int,
+                   default=AnalysisConfig.min_sentences,
+                   help="skip books below this sentence count "
+                        "(default %(default)s)")
     p.add_argument("--format", choices=["csv", "json"], default="json",
-                   help="structured output format (default json)")
-    p.add_argument("--jobs", type=int, default=1,
+                   help="structured output format (default %(default)s)")
+    p.add_argument("--jobs", type=int, default=AnalysisConfig.jobs,
                    help="parallel worker processes, at most one per book "
-                        "and CPU (default 1)")
-    p.add_argument("--hist-bin-width", type=int, default=1000,
-                   help="sentence-count histogram bin width (default 1000)")
+                        "and CPU (default %(default)s)")
+    p.add_argument("--hist-bin-width", type=int,
+                   default=AnalysisConfig.hist_bin_width,
+                   help="sentence-count histogram bin width "
+                        "(default %(default)s)")
     return parser
 
 

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .exceptions import DegenerateInputError
 
@@ -54,6 +53,8 @@ def _validate_pair(x, y, min_n=2):
         raise ValueError("inputs must be one-dimensional")
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("inputs must be finite")
     if x.size < min_n:
         raise DegenerateInputError(f"need at least {min_n} points, got {x.size}")
     return x, y
@@ -72,6 +73,24 @@ def pearson(x, y) -> PearsonResult:
     return PearsonResult(r=float(np.dot(dx, dy)) / (sx * sy))
 
 
+def _ties(values) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks (0 for the smallest value) and the multiplicity of each
+    distinct value: the table every rank statistic reads its ties from."""
+    _, dense, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    return dense, counts
+
+
+def _pairs(counts) -> int:
+    """Pairs inside groups of the given sizes."""
+    return int(np.sum(counts * (counts - 1)) // 2)
+
+
+def _midranks(dense, counts) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions."""
+    return (np.cumsum(counts) - (counts - 1) / 2)[dense]
+
+
 def _count_inversions(values) -> int:
     """Strict inversions (i < j with values[i] > values[j]), exactly.
 
@@ -86,8 +105,8 @@ def _count_inversions(values) -> int:
     n = values.size
     if n < 2:
         return 0
-    _, ranks = np.unique(values, return_inverse=True)
-    top = int(ranks.max()) + 1
+    ranks, counts = _ties(values)
+    top = counts.size
     size = 1 << (n - 1).bit_length()
     a = np.full(size, top, dtype=np.int64)
     a[:n] = ranks
@@ -105,47 +124,29 @@ def _count_inversions(values) -> int:
     return total
 
 
-def _tie_pair_count(arr: np.ndarray) -> int:
-    _, counts = np.unique(arr, return_counts=True)
-    return int(np.sum(counts * (counts - 1)) // 2)
-
-
-def _run_pair_count(same_as_previous: np.ndarray) -> int:
-    """Pairs inside runs of equal neighbours, given for each element but
-    the first whether it equals the one before."""
-    starts = np.flatnonzero(np.concatenate(([True], ~same_as_previous)))
-    runs = np.diff(np.append(starts, same_as_previous.size + 1))
-    return int(np.sum(runs * (runs - 1)) // 2)
-
-
 def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     """(C, D, n0, tx, ty): concordant and discordant pair counts plus
     total pairs and pairs tied in x and in y.
 
-    D comes from Knight's algorithm: sort by (x, y) and count strict
-    inversions of y, which skips pairs tied in either coordinate.  Pairs
-    tied in both are the runs of equal (x, y) in that same order.
+    D is Knight's: sort by one int64 key of the dense ranks of (x, y) and
+    count strict inversions of y, which skips pairs tied in either
+    coordinate.  Pairs tied in both are the pairs of equal keys.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
+    rx, cx = _ties(np.asarray(x, dtype=float))
+    ry, cy = _ties(np.asarray(y, dtype=float))
+    n = rx.size
     n0 = n * (n - 1) // 2
-    order = np.lexsort((y, x))
-    xs = x[order]
-    ys = y[order]
-    d = _count_inversions(ys)
-    tx = _tie_pair_count(x)
-    ty = _tie_pair_count(y)
-    txy = _run_pair_count((xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1]))
+    key = np.sort(rx.astype(np.int64) * cy.size + ry)
+    d = _count_inversions(key % cy.size)
+    txy = _pairs(_ties(key)[1])
+    tx, ty = _pairs(cx), _pairs(cy)
     c = n0 - tx - ty + txy - d
     return c, d, n0, tx, ty
 
 
 def _exact_rank_pvalues(x, y):
     """Exact two-sided p-values for tau-b, gamma and rho by enumerating
-    every permutation of y.  Only feasible for small n."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    every permutation of y (both validated).  Only feasible for small n."""
     n = x.size
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     yp = y[perms]
@@ -161,16 +162,16 @@ def _exact_rank_pvalues(x, y):
             conc += prod > 0
             disc += prod < 0
     n0 = n * (n - 1) // 2
-    tx = _tie_pair_count(x)
-    ty = _tie_pair_count(y)
-    denom_tau = math.sqrt((n0 - tx) * (n0 - ty))
+    dx, cx = _ties(x)
+    dy, cy = _ties(y)
+    denom_tau = math.sqrt((n0 - _pairs(cx)) * (n0 - _pairs(cy)))
     taus = (conc - disc) / denom_tau
     cd = conc + disc
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(cd > 0, (conc - disc) / np.where(cd > 0, cd, 1), 0.0)
 
-    rx = rankdata(x) - (n + 1) / 2
-    ry = rankdata(y) - (n + 1) / 2
+    rx = _midranks(dx, cx) - (n + 1) / 2
+    ry = _midranks(dy, cy) - (n + 1) / 2
     norm = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
     rhos = (ry[perms] @ rx) / norm
 
@@ -186,14 +187,13 @@ def _tau_normal_pvalue(c, d, x, y) -> float:
     n = len(x)
 
     def tie_sums(arr):
-        _, counts = np.unique(arr, return_counts=True)
-        t = counts.astype(np.int64)
+        t = _ties(arr)[1].astype(np.int64)
         return (int(np.sum(t * (t - 1) * (2 * t + 5))),
                 int(np.sum(t * (t - 1))),
                 int(np.sum(t * (t - 1) * (t - 2))))
 
-    vt, t1, t2 = tie_sums(np.asarray(x, dtype=float))
-    vu, u1, u2 = tie_sums(np.asarray(y, dtype=float))
+    vt, t1, t2 = tie_sums(x)
+    vu, u1, u2 = tie_sums(y)
     v0 = n * (n - 1) * (2 * n + 5)
     var = (v0 - vt - vu) / 18.0
     var += t1 * u1 / (2.0 * n * (n - 1))
@@ -242,7 +242,7 @@ def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
     """Pearson correlation of mid-ranks; p-value from the t
     approximation with n - 2 degrees of freedom."""
     x, y = _validate_pair(x, y)
-    rho = pearson(rankdata(x), rankdata(y)).r
+    rho = pearson(_midranks(*_ties(x)), _midranks(*_ties(y))).r
     n = x.size
     if n < EXACT_PVALUE_BELOW_N:
         _, _, p = _exact_rank_pvalues(x, y)
@@ -250,7 +250,7 @@ def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
         p = 0.0
     else:
         t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(t_dist.sf(abs(t_stat), n - 2))
+        p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return RankTestResult(statistic=rho, p_value=p, null_rejected_at=threshold)
 
 

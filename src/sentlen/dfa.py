@@ -71,6 +71,13 @@ def default_config(n: int, detrend_degree: int = 1,
                    num: int = DEFAULT_NUM_WINDOWS) -> DfaConfig:
     windows = log_spaced_windows(n, max(min_window, detrend_degree + 2),
                                  max_fraction, num)
+    if len(windows) < MIN_FIT_POINTS:
+        # rounding merged the log-spaced sizes; no fit could follow
+        raise DegenerateInputError(
+            f"series of length {n} too short for DFA: window grid "
+            f"{list(windows)} has {len(windows)} sizes, a fit needs "
+            f"{MIN_FIT_POINTS}"
+        )
     return DfaConfig(detrend_degree=detrend_degree, window_sizes=windows)
 
 

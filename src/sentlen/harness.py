@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 #: Canonical enumeration of the 15 measure pairs (indices into CANONICAL_ORDER).
 PAIR_INDICES: tuple[tuple[int, int], ...] = tuple(combinations(range(6), 2))
 
+#: shuffled controls averaged per series; a single permutation leaves
+#: ~0.03 estimator noise on h*, averaging tightens the control
+N_SHUFFLES = 8
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -41,9 +45,6 @@ class AnalysisConfig:
     p_threshold: float = 0.01
     min_sentences: int = 200
     hist_bin_width: int = 1000
-    #: shuffled controls averaged per series; a single permutation leaves
-    #: ~0.03 estimator noise on h*, averaging tightens the control
-    n_shuffles: int = 8
     #: worker processes; never more than books or CPUs
     jobs: int = 1
 
@@ -58,7 +59,6 @@ class AnalysisConfig:
             ("p_threshold", 0 < self.p_threshold < 1, "in (0, 1)"),
             ("min_sentences", self.min_sentences >= 0, ">= 0"),
             ("hist_bin_width", self.hist_bin_width >= 1, ">= 1"),
-            ("n_shuffles", self.n_shuffles >= 1, ">= 1"),
             ("jobs", self.jobs >= 1, ">= 1"),
         )
         for name, ok, rule in checks:
@@ -168,7 +168,7 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
         h_star = float(np.mean([
             dfa.shuffled_hurst(s.values, dfa_config,
                                _shuffle_seed(config, doc.id, s.kind, k))
-            for k in range(config.n_shuffles)
+            for k in range(N_SHUFFLES)
         ]))
         hurst[s.kind] = dataclasses.replace(est, h_shuffled=h_star)
 

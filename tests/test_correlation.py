@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +10,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sentlen
 from sentlen.correlation import (
     _count_inversions,
+    _midranks,
+    _ties,
     concordance_counts,
     fit_linear_map,
     goodman_kruskal_gamma,
@@ -237,6 +244,14 @@ class TestConcordanceCounts:
             y = rng.integers(0, 8, size=n).astype(float)
             assert concordance_counts(x, y) == brute_pair_counts(list(x), list(y))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(
+        st.sampled_from([-2.5, -0.0, 0.0, 0.3, 7.0, 1e300]),
+        st.integers(0, 4)), min_size=2, max_size=40))
+    def test_signed_zeros_and_extremes_match_enumeration(self, pairs):
+        x, y = (np.asarray(v, dtype=float) for v in zip(*pairs))
+        assert concordance_counts(x, y) == brute_pair_counts(x, y)
+
 
 class TestLinearMap:
     def test_exact_affine(self):
@@ -338,3 +353,47 @@ class TestAgainstScipy:
             expected = scipy.stats.spearmanr(x, y).statistic
             assert spearman(x, y).statistic == pytest.approx(
                 expected, abs=1e-12)
+
+
+class TestRankTable:
+    """Spearman's midranks and p-value, without scipy.stats."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.one_of(_TIED_INTS, _TIED_FLOATS),
+           as_float=st.booleans())
+    def test_midranks_equal_rankdata(self, values, as_float):
+        arr = np.asarray(values, dtype=float if as_float else None)
+        assert np.array_equal(_midranks(*_ties(arr)),
+                              scipy.stats.rankdata(arr))
+
+    @pytest.mark.parametrize("n", [10, 11, 50, 3000])
+    def test_spearman_pvalue_is_scipy_t_sf(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(1, 20, size=n)
+        y = x + rng.integers(0, 40, size=n)
+        result = spearman(x, y)
+        rho = result.statistic
+        t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+        assert result.p_value == 2.0 * scipy.stats.t.sf(abs(t_stat), n - 2)
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        code = ("import sys, sentlen.cli; "
+                "print('scipy.stats' in sys.modules)")
+        src = str(Path(sentlen.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("fn", [pearson, spearman, kendall_tau,
+                                goodman_kruskal_gamma, fit_linear_map])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(fn, bad):
+    x = np.arange(12.0)
+    y = x[::-1].copy()
+    y[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fn(x, y)
+    with pytest.raises(ValueError, match="finite"):
+        fn(y, x)

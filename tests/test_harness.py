@@ -4,7 +4,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from sentlen import harness, textpipe
+import corpusgen
+from sentlen import cli, correlation, distribution, harness, textpipe
 from sentlen.cli import main as cli_main
 from sentlen.correlation import PearsonResult, RankTestResult
 from sentlen.dfa import HurstEstimate
@@ -50,6 +51,34 @@ class TestAnalyzeBook:
         path.write_text("", encoding="utf-8")
         outcome = analyze_book(path, AnalysisConfig())
         assert isinstance(outcome, SkippedBook)
+
+    def test_too_few_dfa_windows_skipped_before_comparisons(self, tmp_path,
+                                                            monkeypatch):
+        for n in (33, 40):
+            (tmp_path / f"n{n}.txt").write_text(
+                corpusgen.build_book(n, seed=n), encoding="utf-8")
+
+        def no_comparison(*args, **kwargs):
+            raise AssertionError("a comparison ran")
+
+        for module, name in [
+            (correlation, "pearson"), (correlation, "spearman"),
+            (correlation, "kendall_tau"),
+            (correlation, "goodman_kruskal_gamma"),
+            (correlation, "fit_linear_map"),
+            (distribution, "ks_two_sample"),
+            (distribution, "ks_after_linear_map"),
+        ]:
+            monkeypatch.setattr(module, name, no_comparison)
+        summary, reports = analyze_corpus(tmp_path,
+                                          AnalysisConfig(min_sentences=0))
+        assert not reports
+        assert {s.book_id: s.reason for s in summary.skipped} == {
+            "n33": "series of length 33 too short for DFA: window grid [8] "
+                   "has 1 sizes, a fit needs 4",
+            "n40": "series of length 40 too short for DFA: window grid "
+                   "[8, 9, 10] has 3 sizes, a fit needs 4",
+        }
 
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(IngestionError):
@@ -394,6 +423,21 @@ class TestCli:
         assert "too short for DFA" in errors[0]
         assert "sentence floor" not in errors[0]
 
+    def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        configs = []
+
+        def capture(input_dir, config):
+            configs.append(config)
+            raise Captured
+
+        monkeypatch.setattr(cli, "analyze_corpus", capture)
+        with pytest.raises(Captured):
+            cli_main(["analyze", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert configs == [AnalysisConfig()]
+
     def test_missing_directory_fails(self, tmp_path):
         code = cli_main(["analyze", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "out")])
@@ -413,7 +457,6 @@ BAD_SETTINGS = [
     ("p_threshold", "--p-threshold", 1.0),
     ("p_threshold", "--p-threshold", 2.0),
     ("min_sentences", "--min-sentences", -1),
-    ("n_shuffles", None, 0),
     ("jobs", "--jobs", 0),
 ]
 
@@ -442,7 +485,7 @@ class TestConfigValidation:
     def test_boundary_values_accepted(self):
         AnalysisConfig(hist_bin_width=1, dfa_degree=1, dfa_points=4,
                        dfa_max_fraction=0.25, seed=0, p_threshold=1e-9,
-                       min_sentences=0, n_shuffles=1, jobs=1)
+                       min_sentences=0, jobs=1)
 
 
 @pytest.mark.parametrize("jobs,cpus,expected", [
