@@ -55,6 +55,8 @@ def mean_normalize(series) -> np.ndarray:
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
         raise DegenerateInputError("cannot normalize an empty series")
+    if not np.isfinite(arr).all():
+        raise ValueError("series must be finite")
     mean = arr.mean()
     if mean == 0:
         raise DegenerateInputError("cannot normalize a zero-mean series")
@@ -93,6 +95,8 @@ def ks_two_sample(a, b, threshold: float = 0.01) -> KsResult:
     n_e = n_a n_b / (n_a + n_b) and the usual small-sample correction."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("inputs must be finite")
     if a.size < 5 or b.size < 5:
         raise DegenerateInputError(
             f"KS test needs >= 5 samples per side, got {a.size} and {b.size}"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ import sentlen
 from sentlen.correlation import (
     _count_inversions,
     _midranks,
+    _t_two_sided_p,
     _ties,
     concordance_counts,
     fit_linear_map,
@@ -22,6 +24,7 @@ from sentlen.correlation import (
     pearson,
     spearman,
 )
+from sentlen.distribution import ks_two_sample, mean_normalize
 from sentlen.exceptions import DegenerateInputError
 
 
@@ -374,20 +377,93 @@ class TestRankTable:
         result = spearman(x, y)
         rho = result.statistic
         t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        assert result.p_value == 2.0 * scipy.stats.t.sf(abs(t_stat), n - 2)
+        assert result.p_value == pytest.approx(
+            2.0 * scipy.stats.t.sf(abs(t_stat), n - 2), rel=1e-11, abs=0)
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        code = ("import sys, sentlen.cli; "
-                "print('scipy.stats' in sys.modules)")
+        code = ("import sys, sentlen.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
         src = str(Path(sentlen.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("fn", [pearson, spearman, kendall_tau,
-                                goodman_kruskal_gamma, fit_linear_map])
+def _scipy_t_pvalue(df, t):
+    return 2.0 * scipy.special.stdtr(df, -np.abs(t))
+
+
+def _t_where_pvalue_reaches(df, target):
+    """Per df, the smallest t (to 1 ulp) with 2 stdtr(df, -t) <= target,
+    by bisection over [0, 1e5]; NaN where none is that small."""
+    lo = np.zeros(df.shape)
+    hi = np.full(df.shape, 1e5)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = _scipy_t_pvalue(df, mid) <= target
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    return np.where(_scipy_t_pvalue(df, hi) <= target, hi, np.nan)
+
+
+class TestStudentTPvalue:
+    """Spearman's t p-value against scipy.special.stdtr, which computed it
+    before: 6 significant digits everywhere (the output's precision,
+    exact 0 included) and 1e-11 relative wherever p >= 1e-300."""
+
+    DFS = np.unique(np.concatenate([
+        np.geomspace(8, 20_000, 70).round(),
+        # the cutoff to 0 lies in Boost's y >= 0.3 branch for df ~ 3500-3970
+        np.arange(3_450, 4_000, 50),
+    ]))
+
+    @staticmethod
+    def _check(df, t):
+        df, t = np.broadcast_arrays(np.asarray(df, dtype=float), t)
+        df, t = df.ravel(), t.ravel()
+        keep = np.isfinite(t)
+        df, t = df[keep], t[keep]
+        ref = _scipy_t_pvalue(df, t)
+        got = np.array([_t_two_sided_p(float(ti), int(di))
+                        for di, ti in zip(df, t)])
+        six = [format(g, ".6g") == format(r, ".6g") for g, r in zip(got, ref)]
+        assert all(six), list(zip(df[~np.array(six)], t[~np.array(six)]))
+        big = ref >= 1e-300
+        np.testing.assert_allclose(got[big], ref[big], rtol=1e-11, atol=0)
+        return ref
+
+    def test_grid(self):
+        t = np.concatenate([[0.0, 1e-8], np.geomspace(1e-3, 1e5, 150)])
+        ref = self._check(self.DFS[:, None], t[None, :])
+        assert (ref == 1.0).any() and (ref == 0.0).any()
+
+    def test_both_sides_of_the_df_equals_2t2_switch(self):
+        rel = np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3])
+        self._check(self.DFS[:, None],
+                    np.sqrt(self.DFS / 2)[:, None] * (1 + rel[None, :]))
+
+    @pytest.mark.parametrize("target", [1e-290, 1e-300, 1e-305, 3e-308])
+    def test_near_1e_300(self, target):
+        rel = np.array([-1e-6, 0.0, 1e-6])
+        t = _t_where_pvalue_reaches(self.DFS, target)
+        self._check(self.DFS[:, None], t[:, None] * (1 + rel[None, :]))
+
+    def test_subnormal_band_and_the_cutoff_to_zero(self):
+        t0 = _t_where_pvalue_reaches(self.DFS, 0.0)
+        assert np.isfinite(t0).sum() > 40
+        steps = 10.0 ** -np.arange(3, 11)
+        rel = np.concatenate([-steps, steps])
+        ref = self._check(self.DFS[:, None], t0[:, None] * (1 + rel[None, :]))
+        assert ((ref > 0) & (ref < sys.float_info.min)).sum() > 100
+        assert (ref == 0).sum() > 100
+
+
+@pytest.mark.parametrize("fn", [
+    pearson, spearman, kendall_tau, goodman_kruskal_gamma, fit_linear_map,
+    ks_two_sample,
+    pytest.param(lambda x, y: (mean_normalize(x), mean_normalize(y)),
+                 id="mean_normalize"),
+])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_rejected(fn, bad):
     x = np.arange(12.0)

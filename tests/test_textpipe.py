@@ -1,3 +1,4 @@
+import re
 import string
 import unicodedata
 
@@ -283,3 +284,19 @@ class TestResourceLoading:
         path.write_text("heard hear\n", encoding="utf-8")
         with pytest.raises(IngestionError):
             LemmaLexicon.from_file(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_TEXTS)
+def test_terminator_runs_segment_like_one_period(text):
+    collapsed = re.sub(r"[.!?]+", ".", text)
+    assert segment_sentences(collapsed) == segment_sentences(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(first=_TEXTS, terminator=st.sampled_from(".!?"), second=_TEXTS)
+def test_joined_texts_give_both_columns_in_order(first, terminator, second):
+    first += terminator
+    lengths = [sentence_lengths(t, _PROPERTY_STOPS, _PROPERTY_LEMMAS)
+               for t in (first, second, first + " " + second)]
+    assert np.array_equal(lengths[2], np.hstack(lengths[:2]))
