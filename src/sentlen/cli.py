@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -22,59 +23,47 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze every .txt book in a directory")
     p.add_argument("input_dir", help="directory of UTF-8 plain-text books")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stopwords", default=AnalysisConfig.stopwords_path,
-                   metavar="FILE",
+    # each analysis flag's dest is its AnalysisConfig field, and the
+    # defaults are the dataclass's, so run_analyze passes the fields through
+    p.set_defaults(**{f.name: f.default
+                      for f in dataclasses.fields(AnalysisConfig)})
+    p.add_argument("--stopwords", dest="stopwords_path", metavar="FILE",
                    help="stopword list, one lowercase word per line")
-    p.add_argument("--lemmas", default=AnalysisConfig.lemmas_path,
-                   metavar="FILE",
+    p.add_argument("--lemmas", dest="lemmas_path", metavar="FILE",
                    help="lemma lexicon, 'surface<TAB>lemma' per line")
-    p.add_argument("--dfa-degree", type=int, default=AnalysisConfig.dfa_degree,
+    p.add_argument("--dfa-degree", dest="dfa_degree", type=int,
                    help="polynomial detrending degree (default %(default)s)")
-    p.add_argument("--dfa-min", type=int,
-                   default=AnalysisConfig.dfa_min_window,
+    p.add_argument("--dfa-min", dest="dfa_min_window", type=int,
+                   metavar="DFA_MIN",
                    help="smallest DFA window (default %(default)s)")
-    p.add_argument("--dfa-max-frac", type=float,
-                   default=AnalysisConfig.dfa_max_fraction,
+    p.add_argument("--dfa-max-frac", dest="dfa_max_fraction", type=float,
+                   metavar="DFA_MAX_FRAC",
                    help="largest window as a fraction of length "
                         "(default %(default)s)")
-    p.add_argument("--dfa-points", type=int, default=AnalysisConfig.dfa_points,
+    p.add_argument("--dfa-points", dest="dfa_points", type=int,
                    help="number of log-spaced windows (default %(default)s)")
-    p.add_argument("--seed", type=int, default=AnalysisConfig.seed,
+    p.add_argument("--seed", dest="seed", type=int,
                    help="base seed for the shuffled-control permutations "
                         "(default %(default)s)")
-    p.add_argument("--p-threshold", type=float,
-                   default=AnalysisConfig.p_threshold,
+    p.add_argument("--p-threshold", dest="p_threshold", type=float,
                    help="significance threshold (default %(default)s)")
-    p.add_argument("--min-sentences", type=int,
-                   default=AnalysisConfig.min_sentences,
+    p.add_argument("--min-sentences", dest="min_sentences", type=int,
                    help="skip books below this sentence count "
                         "(default %(default)s)")
     p.add_argument("--format", choices=["csv", "json"], default="json",
                    help="structured output format (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=AnalysisConfig.jobs,
+    p.add_argument("--jobs", dest="jobs", type=int,
                    help="parallel worker processes, at most one per book "
                         "and CPU (default %(default)s)")
-    p.add_argument("--hist-bin-width", type=int,
-                   default=AnalysisConfig.hist_bin_width,
+    p.add_argument("--hist-bin-width", dest="hist_bin_width", type=int,
                    help="sentence-count histogram bin width "
                         "(default %(default)s)")
     return parser
 
 
 def run_analyze(args) -> int:
-    config = AnalysisConfig(
-        stopwords_path=args.stopwords,
-        lemmas_path=args.lemmas,
-        dfa_degree=args.dfa_degree,
-        dfa_min_window=args.dfa_min,
-        dfa_max_fraction=args.dfa_max_frac,
-        dfa_points=args.dfa_points,
-        seed=args.seed,
-        p_threshold=args.p_threshold,
-        min_sentences=args.min_sentences,
-        hist_bin_width=args.hist_bin_width,
-        jobs=args.jobs,
-    )
+    config = AnalysisConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(AnalysisConfig)})
     summary, reports = analyze_corpus(args.input_dir, config)
     written = emit_reports(summary, reports, args.out, formats=(args.format,))
     log.info("analyzed %d books (%d skipped), wrote %d files to %s",

@@ -1,6 +1,5 @@
 """Distribution comparison: empirical CDFs, the two-sample
-Kolmogorov-Smirnov test, linear-map-then-KS, and the stretched
-exponential tail fit."""
+Kolmogorov-Smirnov test, and linear-map-then-KS."""
 
 from __future__ import annotations
 
@@ -42,13 +41,6 @@ class KsResult:
     kappa: float
     p_value: float
     accepted: bool
-
-
-@dataclass(frozen=True)
-class StretchedExpFit:
-    mu: float
-    b: float
-    fit_rmse: float
 
 
 def mean_normalize(series) -> np.ndarray:
@@ -115,50 +107,3 @@ def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult
     lm = fit_linear_map(x_series, y_series)
     mapped = lm.apply(x_series)
     return ks_two_sample(mapped, np.asarray(y_series, dtype=float), threshold)
-
-
-def empirical_ccdf(series) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values x with CCDF(x) = P(X > x), boundary points
-    (CCDF of 0 or 1) excluded."""
-    arr = np.asarray(series, dtype=float)
-    values, counts = np.unique(arr, return_counts=True)
-    tail = arr.size - np.cumsum(counts)
-    ccdf = tail / arr.size
-    keep = (ccdf > 0) & (ccdf < 1)
-    return values[keep], ccdf[keep]
-
-
-def fit_stretched_exponential(x, ccdf) -> StretchedExpFit:
-    """Least-squares fit of ln(-ln CCDF) = ln(mu) + b * ln(x) for the
-    model CCDF(x) = exp(-mu * x^b)."""
-    x = np.asarray(x, dtype=float)
-    ccdf = np.asarray(ccdf, dtype=float)
-    if x.size < 5:
-        raise DegenerateInputError(
-            f"stretched-exponential fit needs >= 5 points, got {x.size}"
-        )
-    if np.any(x <= 0) or np.any(ccdf <= 0) or np.any(ccdf >= 1):
-        raise DegenerateInputError("fit requires x > 0 and 0 < CCDF < 1")
-    lx = np.log(x)
-    ly = np.log(-np.log(ccdf))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    rmse = float(np.sqrt(np.mean(resid ** 2)))
-    return StretchedExpFit(mu=float(np.exp(intercept)), b=float(slope),
-                           fit_rmse=rmse)
-
-
-def fit_ccdf_stretched_exp(series) -> StretchedExpFit:
-    arr = np.asarray(series)
-    if arr.size < 50:
-        raise DegenerateInputError(
-            f"CCDF fit needs >= 50 samples, got {arr.size}"
-        )
-    if np.any(arr < 1):
-        raise DegenerateInputError("CCDF fit requires values >= 1")
-    x, ccdf = empirical_ccdf(arr)
-    if x.size < 5:
-        raise DegenerateInputError(
-            f"too few distinct values for a CCDF fit ({x.size})"
-        )
-    return fit_stretched_exponential(x, ccdf)

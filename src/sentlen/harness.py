@@ -51,6 +51,9 @@ class AnalysisConfig:
     def __post_init__(self):
         checks = (
             ("dfa_degree", self.dfa_degree >= 1, ">= 1"),
+            # a degree-l fit needs at least l + 2 points per window
+            ("dfa_min_window", self.dfa_min_window >= self.dfa_degree + 2,
+             f">= dfa_degree + 2 = {self.dfa_degree + 2}"),
             ("dfa_points", self.dfa_points >= dfa.MIN_FIT_POINTS,
              f">= {dfa.MIN_FIT_POINTS}"),
             ("dfa_max_fraction", 0 < self.dfa_max_fraction <= dfa.MAX_FRACTION,
@@ -442,7 +445,8 @@ def _summary_record(summary: CorpusSummary) -> dict:
 def emit_reports(summary: CorpusSummary, reports, out_dir,
                  formats=("json",)) -> list[Path]:
     """Write per-book records, the corpus summary, and plot-ready CSVs.
-    Deterministic: identical inputs produce byte-identical files."""
+    Deterministic: identical inputs produce byte-identical files.  Into a
+    used directory, it leaves the tree a fresh run writes for `formats`."""
     out_dir = Path(out_dir)
     books_dir = out_dir / "books"
     plots_dir = out_dir / "plots"
@@ -503,4 +507,10 @@ def emit_reports(summary: CorpusSummary, reports, out_dir,
         _write_csv(path, ["book_id", "reason"],
                    [[s.book_id, s.reason] for s in summary.skipped])
         written.append(path)
+
+    # only now that every write succeeded: drop what an earlier run left
+    stale = [p for fmt in formats for p in books_dir.glob(f"*.{fmt}")]
+    stale.append(out_dir / "skipped.csv")
+    for path in set(stale).difference(written):
+        path.unlink(missing_ok=True)
     return written

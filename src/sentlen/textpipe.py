@@ -1,12 +1,12 @@
 """Text ingestion: one pass from a book's text to its six sentence-length
 series.
 
-A sentence ends at every '.', '!' or '?'; runs of terminators collapse
-to a single boundary.  Abbreviation periods are deliberately not
-special-cased.  Within a sentence, whitespace separates pieces, and a
-piece is a word when something is left after stripping its leading and
-trailing non-alphanumerics.  The text is NFC-normalized first, so the
-same text gives the same counts in any Unicode normal form.
+A sentence ends at every '.', '!' or '?'; a run of them is a single
+boundary.  Abbreviation periods are deliberately not special-cased.
+Within a sentence, whitespace separates pieces, and a piece is a word
+when something is left after stripping its leading and trailing
+non-alphanumerics.  The text is NFC-normalized first, so the same text
+gives the same counts in any Unicode normal form.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import IngestionError
-
-TERMINATORS = ".!?"
 
 _BOUNDARY_RE = re.compile(r"[.!?]+")
 # alphanumeric, underscore excluded

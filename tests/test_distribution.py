@@ -7,9 +7,6 @@ import scipy.stats
 import corpusgen
 from sentlen.distribution import (
     Ecdf,
-    empirical_ccdf,
-    fit_ccdf_stretched_exp,
-    fit_stretched_exponential,
     kolmogorov_sf,
     ks_after_linear_map,
     ks_distance,
@@ -168,43 +165,3 @@ class TestKsAfterLinearMap:
     def test_constant_x(self):
         with pytest.raises(DegenerateInputError):
             ks_after_linear_map(np.ones(20), np.arange(20.0))
-
-
-class TestStretchedExponentialFit:
-    def test_exact_model_on_grid(self):
-        x = np.arange(1, 101, dtype=float)
-        fit = fit_stretched_exponential(x, np.exp(-0.05 * x))
-        assert fit.mu == pytest.approx(0.05, abs=1e-6)
-        assert fit.b == pytest.approx(1.0, abs=1e-6)
-        assert fit.fit_rmse < 1e-10
-
-    def test_exact_stretched_model(self):
-        x = np.arange(1, 101, dtype=float)
-        fit = fit_stretched_exponential(x, np.exp(-0.3 * x ** 0.8))
-        assert fit.mu == pytest.approx(0.3, abs=1e-6)
-        assert fit.b == pytest.approx(0.8, abs=1e-6)
-
-    def test_geometric_lengths_give_b_near_one(self):
-        samples = np.random.default_rng(7).geometric(0.06, size=5000)
-        fit = fit_ccdf_stretched_exp(samples)
-        assert 0.7 <= fit.b <= 1.3
-
-    def test_book_like_lengths(self):
-        values = corpusgen.sentence_word_counts(
-            3000, 0.75, np.random.default_rng(8))
-        fit = fit_ccdf_stretched_exp(values)
-        assert fit.mu > 0
-        assert 0.7 <= fit.b <= 1.5
-
-    def test_constant_series(self):
-        with pytest.raises(DegenerateInputError):
-            fit_ccdf_stretched_exp(np.full(100, 7))
-
-    def test_too_few_samples(self):
-        with pytest.raises(DegenerateInputError):
-            fit_ccdf_stretched_exp(np.arange(1, 30))
-
-    def test_ccdf_boundaries_excluded(self):
-        x, ccdf = empirical_ccdf([1, 1, 2, 3, 3, 4])
-        assert np.all(ccdf > 0) and np.all(ccdf < 1)
-        assert x.max() < 4  # top point has CCDF 0

@@ -404,6 +404,12 @@ def test_summarize_histogram_binning(small_results):
     assert widths == sorted(widths)
 
 
+def _tree(out):
+    """Every file under `out`, by relative POSIX path, with its bytes."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()}
+
+
 class TestCli:
     def test_analyze_runs(self, small_corpus_dir, tmp_path):
         out = tmp_path / "out"
@@ -423,7 +429,10 @@ class TestCli:
         assert "too short for DFA" in errors[0]
         assert "sentence floor" not in errors[0]
 
-    def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _config_of(argv, monkeypatch):
+        """The AnalysisConfig that `sentlen analyze DIR --out OUT *argv`
+        builds, captured before any book is read."""
         class Captured(Exception):
             pass
 
@@ -435,8 +444,64 @@ class TestCli:
 
         monkeypatch.setattr(cli, "analyze_corpus", capture)
         with pytest.raises(Captured):
-            cli_main(["analyze", str(tmp_path), "--out", str(tmp_path / "o")])
-        assert configs == [AnalysisConfig()]
+            cli_main(["analyze", "books", "--out", "out", *argv])
+        return configs[0]
+
+    def test_defaults_are_the_config_defaults(self, monkeypatch):
+        assert self._config_of([], monkeypatch) == AnalysisConfig()
+
+    def test_each_flag_sets_its_field(self, monkeypatch):
+        config = self._config_of([
+            "--stopwords", "s.txt", "--lemmas", "l.tsv", "--dfa-degree", "2",
+            "--dfa-min", "5", "--dfa-max-frac", "0.2", "--dfa-points", "9",
+            "--seed", "7", "--p-threshold", "0.05", "--min-sentences", "50",
+            "--jobs", "3", "--hist-bin-width", "500"], monkeypatch)
+        assert config == AnalysisConfig(
+            stopwords_path="s.txt", lemmas_path="l.tsv", dfa_degree=2,
+            dfa_min_window=5, dfa_max_fraction=0.2, dfa_points=9, seed=7,
+            p_threshold=0.05, min_sentences=50, jobs=3, hist_bin_width=500)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rerun_into_used_directory_matches_fresh_run(self, fmt, tmp_path):
+        books = tmp_path / "books"
+        books.mkdir()
+        for name, seed in (("a", 1), ("b2", 2)):
+            (books / f"{name}.txt").write_text(
+                corpusgen.build_book(300, seed=seed), encoding="utf-8")
+        (books / "bad.txt").write_bytes(b"\xff\xfe bad bytes. here.")
+
+        def analyze(out):
+            assert cli_main(["analyze", str(books), "--out", str(out),
+                             "--format", fmt]) == 0
+            return _tree(out)
+
+        assert {"skipped.csv", f"books/b2.{fmt}"} <= set(
+            analyze(tmp_path / "out"))
+        (books / "bad.txt").write_text(corpusgen.build_book(300, seed=3),
+                                       encoding="utf-8")
+        (books / "b2.txt").unlink()
+        assert analyze(tmp_path / "out") == analyze(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_serial_and_pooled_runs_write_identical_files(
+            self, fmt, small_corpus_dir, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli_main(["analyze", str(small_corpus_dir), "--out",
+                             str(out), "--format", fmt, "--jobs", jobs]) == 0
+            trees.append(_tree(out))
+        assert pools == [2]
+        assert trees[0] == trees[1]
 
     def test_missing_directory_fails(self, tmp_path):
         code = cli_main(["analyze", str(tmp_path / "nope"),
@@ -448,6 +513,8 @@ class TestCli:
 BAD_SETTINGS = [
     ("hist_bin_width", "--hist-bin-width", 0),
     ("dfa_degree", "--dfa-degree", 0),
+    ("dfa_min_window", "--dfa-min", 2),
+    ("dfa_min_window", "--dfa-min", -5),
     ("dfa_points", "--dfa-points", 3),
     ("dfa_max_fraction", "--dfa-max-frac", 0),
     ("dfa_max_fraction", "--dfa-max-frac", 0.5),
@@ -483,9 +550,9 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_boundary_values_accepted(self):
-        AnalysisConfig(hist_bin_width=1, dfa_degree=1, dfa_points=4,
-                       dfa_max_fraction=0.25, seed=0, p_threshold=1e-9,
-                       min_sentences=0, jobs=1)
+        AnalysisConfig(hist_bin_width=1, dfa_degree=1, dfa_min_window=3,
+                       dfa_points=4, dfa_max_fraction=0.25, seed=0,
+                       p_threshold=1e-9, min_sentences=0, jobs=1)
 
 
 @pytest.mark.parametrize("jobs,cpus,expected", [
