@@ -49,7 +49,7 @@ class RankTestResult:
         return self.p_value < self.null_rejected_at
 
 
-def _validate_pair(x, y, min_n=2):
+def _validate_pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
@@ -58,8 +58,8 @@ def _validate_pair(x, y, min_n=2):
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
-    if x.size < min_n:
-        raise DegenerateInputError(f"need at least {min_n} points, got {x.size}")
+    if x.size < 2:
+        raise DegenerateInputError(f"need at least 2 points, got {x.size}")
     return x, y
 
 
@@ -94,31 +94,29 @@ def _midranks(dense, counts) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2)[dense]
 
 
-def _count_inversions(values) -> int:
-    """Strict inversions (i < j with values[i] > values[j]), exactly.
+def _count_inversions(ranks, n_ranks: int) -> int:
+    """Strict inversions (i < j with ranks[i] > ranks[j]) of integer ranks
+    in [0, n_ranks), exactly.
 
-    A bottom-up merge over dense integer ranks: the array is padded to a
-    power of two with a rank above every real one (at the end, so the pad
-    adds no strict inversion), and each level counts, for every element
-    of a right half, the elements of its sorted left half that exceed it,
-    with one global `searchsorted` (a per-block offset keeps the blocks
-    apart), then sorts each merged block.
+    A bottom-up merge: the array is padded to a power of two with the rank
+    n_ranks, above every real one (at the end, so the pad adds no strict
+    inversion), and each level counts, for every element of a right half,
+    the elements of its sorted left half that exceed it, with one global
+    `searchsorted` (a per-block offset keeps the blocks apart), then sorts
+    each merged block.
     """
-    values = np.asarray(values)
-    n = values.size
+    n = len(ranks)
     if n < 2:
         return 0
-    ranks, counts = _ties(values)
-    top = counts.size
     size = 1 << (n - 1).bit_length()
-    a = np.full(size, top, dtype=np.int64)
+    a = np.full(size, n_ranks, dtype=np.int64)
     a[:n] = ranks
     total = 0
     w = 1
     while w < size:
         blocks = a.reshape(-1, 2 * w)
         b = np.arange(blocks.shape[0], dtype=np.int64)[:, None]
-        keyed = blocks + b * (top + 1)
+        keyed = blocks + b * (n_ranks + 1)
         pos = np.searchsorted(keyed[:, :w].ravel(), keyed[:, w:],
                               side="right")
         total += int(np.sum((b + 1) * w - pos, dtype=np.int64))
@@ -140,7 +138,7 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     n = rx.size
     n0 = n * (n - 1) // 2
     key = np.sort(rx.astype(np.int64) * cy.size + ry)
-    d = _count_inversions(key % cy.size)
+    d = _count_inversions(key % cy.size, cy.size)
     txy = _pairs(_ties(key)[1])
     tx, ty = _pairs(cx), _pairs(cy)
     c = n0 - tx - ty + txy - d

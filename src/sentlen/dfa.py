@@ -29,10 +29,10 @@ MIN_FIT_POINTS = 4
 
 @dataclass(frozen=True)
 class DfaConfig:
+    window_sizes: tuple[int, ...]
     detrend_degree: int = 1
-    window_sizes: tuple[int, ...] = ()
 
-    def validate(self, series_length: int) -> None:
+    def __post_init__(self):
         if self.detrend_degree < 1:
             raise ValueError("detrend degree must be >= 1")
         ws = self.window_sizes
@@ -44,11 +44,6 @@ class DfaConfig:
             raise ValueError(
                 f"smallest window {ws[0]} underdetermines a degree-"
                 f"{self.detrend_degree} fit"
-            )
-        if series_length < 4 * ws[-1]:
-            raise DegenerateInputError(
-                f"series of length {series_length} too short for window "
-                f"{ws[-1]} (need >= {4 * ws[-1]})"
             )
 
 
@@ -69,6 +64,11 @@ def default_config(n: int, detrend_degree: int = 1,
                    min_window: int = DEFAULT_MIN_WINDOW,
                    max_fraction: float = DEFAULT_MAX_FRACTION,
                    num: int = DEFAULT_NUM_WINDOWS) -> DfaConfig:
+    if not 0 < max_fraction <= MAX_FRACTION:
+        raise ValueError(
+            f"max_fraction must be in (0, {MAX_FRACTION}], got {max_fraction!r}")
+    if num < MIN_FIT_POINTS:
+        raise ValueError(f"num must be >= {MIN_FIT_POINTS}, got {num!r}")
     windows = log_spaced_windows(n, max(min_window, detrend_degree + 2),
                                  max_fraction, num)
     if len(windows) < MIN_FIT_POINTS:
@@ -83,15 +83,8 @@ def default_config(n: int, detrend_degree: int = 1,
 
 @dataclass(frozen=True)
 class FluctuationCurve:
-    points: tuple[tuple[int, float], ...]
-
-    @property
-    def window_sizes(self) -> np.ndarray:
-        return np.array([m for m, _ in self.points])
-
-    @property
-    def fluctuations(self) -> np.ndarray:
-        return np.array([f for _, f in self.points])
+    window_sizes: np.ndarray
+    fluctuations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,13 +134,15 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
 
 def dfa_curve(series, config: DfaConfig) -> FluctuationCurve:
     series = np.asarray(series, dtype=float)
-    config.validate(series.size)
+    ws = config.window_sizes
+    if series.size < 4 * ws[-1]:
+        raise DegenerateInputError(
+            f"series of length {series.size} too short for window "
+            f"{ws[-1]} (need >= {4 * ws[-1]})"
+        )
     profile = integrate_profile(series)
-    points = tuple(
-        (m, fluctuation(profile, m, config.detrend_degree))
-        for m in config.window_sizes
-    )
-    return FluctuationCurve(points=points)
+    fluctuations = [fluctuation(profile, m, config.detrend_degree) for m in ws]
+    return FluctuationCurve(np.array(ws), np.array(fluctuations))
 
 
 def estimate_hurst(curve: FluctuationCurve) -> HurstEstimate:

@@ -13,7 +13,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -26,7 +26,8 @@ from .series import CANONICAL_ORDER, MeasureKind, extract_all
 log = logging.getLogger(__name__)
 
 #: Canonical enumeration of the 15 measure pairs (indices into CANONICAL_ORDER).
-PAIR_INDICES: tuple[tuple[int, int], ...] = tuple(combinations(range(6), 2))
+PAIR_INDICES: tuple[tuple[int, int], ...] = tuple(
+    combinations(range(len(CANONICAL_ORDER)), 2))
 
 #: shuffled controls averaged per series; a single permutation leaves
 #: ~0.03 estimator noise on h*, averaging tightens the control
@@ -145,11 +146,14 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
         min_window=config.dfa_min_window,
         max_fraction=config.dfa_max_fraction, num=config.dfa_points)
     series = extract_all(doc)
+    values = [s.values.astype(float) for s in series]
+    # each normalized once, on first use, so that an all-zero series still
+    # fails in pearson first
+    normalized = cache(lambda k: distribution.mean_normalize(values[k]))
 
     comparisons = []
     for i, j in PAIR_INDICES:
-        x = series[i].values.astype(float)
-        y = series[j].values.astype(float)
+        x, y = values[i], values[j]
         comparisons.append(ComparisonResult(
             pair=(CANONICAL_ORDER[i], CANONICAL_ORDER[j]),
             pearson=correlation.pearson(x, y),
@@ -157,19 +161,16 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
             kendall=correlation.kendall_tau(x, y, config.p_threshold),
             gamma=correlation.goodman_kruskal_gamma(x, y, config.p_threshold),
             ks_plain=distribution.ks_two_sample(
-                distribution.mean_normalize(x),
-                distribution.mean_normalize(y),
-                config.p_threshold,
-            ),
+                normalized(i), normalized(j), config.p_threshold),
             ks_mapped=distribution.ks_after_linear_map(x, y, config.p_threshold),
             linear_map=correlation.fit_linear_map(x, y),
         ))
 
     hurst = {}
-    for s in series:
-        est = dfa.hurst_of_series(s.values, dfa_config)
+    for s, v in zip(series, values):
+        est = dfa.hurst_of_series(v, dfa_config)
         h_star = float(np.mean([
-            dfa.shuffled_hurst(s.values, dfa_config,
+            dfa.shuffled_hurst(v, dfa_config,
                                _shuffle_seed(config, doc.id, s.kind, k))
             for k in range(N_SHUFFLES)
         ]))
@@ -230,8 +231,9 @@ def summarize(reports, skipped, config: AnalysisConfig) -> CorpusSummary:
         delta_h.extend(abs(hs[i] - hs[j]) for i, j in PAIR_INDICES)
     delta_h = np.sort(delta_h)
 
-    plain = np.full((6, 6), np.nan)
-    mapped = np.full((6, 6), np.nan)
+    n = len(CANONICAL_ORDER)
+    plain = np.full((n, n), np.nan)
+    mapped = np.full((n, n), np.nan)
     if reports:
         for idx, (i, j) in enumerate(PAIR_INDICES):
             plain[i, j] = 100.0 * np.mean(
@@ -412,9 +414,9 @@ def _cdf_rows(values):
 def _acceptance_rows(matrix):
     labels = [k.label for k in CANONICAL_ORDER]
     rows = []
-    for i in range(5):
+    for i in range(len(labels) - 1):
         row = [labels[i]]
-        for j in range(1, 6):
+        for j in range(1, len(labels)):
             row.append(_fmt(matrix[i, j]) if j > i else "")
         rows.append(row)
     return rows
@@ -508,9 +510,11 @@ def emit_reports(summary: CorpusSummary, reports, out_dir,
                    [[s.book_id, s.reason] for s in summary.skipped])
         written.append(path)
 
-    # only now that every write succeeded: drop what an earlier run left
-    stale = [p for fmt in formats for p in books_dir.glob(f"*.{fmt}")]
-    stale.append(out_dir / "skipped.csv")
+    # only now that every write succeeded: drop what an earlier run left,
+    # in either format
+    stale = [out_dir / "skipped.csv"]
+    for fmt in ("json", "csv"):
+        stale += [out_dir / f"summary.{fmt}", *books_dir.glob(f"*.{fmt}")]
     for path in set(stale).difference(written):
         path.unlink(missing_ok=True)
     return written

@@ -100,8 +100,8 @@ def test_criterion_2_dfa_calibration():
     for m in default_config(2000).window_sizes:
         assert fluctuation(profile, m, 1) == pytest.approx(0.0, abs=1e-9)
 
-    curve = FluctuationCurve(
-        points=tuple((m, m ** 0.75) for m in (8, 16, 32, 64, 128, 256)))
+    ms = (8, 16, 32, 64, 128, 256)
+    curve = FluctuationCurve(np.array(ms), np.array([m ** 0.75 for m in ms]))
     assert abs(estimate_hurst(curve).h - 0.75) <= 1e-9
 
     _report(2, f"(white-noise mean h = {mean_h:.4f})")

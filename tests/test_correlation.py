@@ -294,13 +294,20 @@ _TIED_FLOATS = st.lists(
     max_size=80)
 
 
+def _dense(values):
+    """`_count_inversions`' arguments for `values`: its dense ranks and
+    their count."""
+    ranks, counts = _ties(np.asarray(values))
+    return ranks, counts.size
+
+
 class TestCountInversions:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(values=st.one_of(_TIED_INTS, _TIED_FLOATS),
            as_float=st.booleans())
     def test_matches_both_oracles(self, values, as_float):
         arr = np.asarray(values, dtype=float if as_float else None)
-        result = _count_inversions(arr)
+        result = _count_inversions(*_dense(arr))
         assert type(result) is int
         assert result == merge_sort_inversions(values)
         assert result == brute_inversions(values)
@@ -310,24 +317,34 @@ class TestCountInversions:
         ([2.0, 2.0], 0),
     ])
     def test_tiny(self, values, expected):
-        assert _count_inversions(np.asarray(values)) == expected
+        assert _count_inversions(*_dense(values)) == expected
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65])
     def test_sizes_around_powers_of_two(self, n):
         rng = np.random.default_rng(n)
         values = rng.integers(0, 5, size=n)
-        assert _count_inversions(values) == brute_inversions(values)
-        assert _count_inversions(np.zeros(n)) == 0
-        assert _count_inversions(np.arange(n)[::-1]) == n * (n - 1) // 2
-        assert _count_inversions(np.arange(n)) == 0
+        assert _count_inversions(*_dense(values)) == brute_inversions(values)
+        assert _count_inversions(*_dense(np.zeros(n))) == 0
+        assert _count_inversions(*_dense(np.arange(n)[::-1])) == \
+            n * (n - 1) // 2
+        assert _count_inversions(*_dense(np.arange(n))) == 0
 
     def test_long_tied_series_matches_merge_sort(self):
         values = np.random.default_rng(15).integers(1, 40, size=15000)
-        assert _count_inversions(values) == merge_sort_inversions(values)
+        assert _count_inversions(*_dense(values)) == \
+            merge_sort_inversions(values)
 
     def test_long_descending_is_exact(self):
         n = 15000
-        assert _count_inversions(np.arange(n, 0, -1)) == n * (n - 1) // 2
+        assert _count_inversions(*_dense(np.arange(n, 0, -1))) == \
+            n * (n - 1) // 2
+
+    def test_reads_the_given_ranks_without_ranking_again(self, monkeypatch):
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        assert _count_inversions(np.array([2, 0, 1, 0]), 3) == 4
 
 
 class TestAgainstScipy:

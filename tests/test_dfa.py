@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from sentlen import dfa
 from sentlen.dfa import (
     DfaConfig,
     FluctuationCurve,
@@ -121,8 +123,42 @@ class TestCurve:
 
     def test_too_short_series(self):
         cfg = DfaConfig(window_sizes=(8, 16, 32, 64))
-        with pytest.raises(DegenerateInputError):
-            dfa_curve(np.random.default_rng(2).normal(size=100), cfg)
+        with pytest.raises(DegenerateInputError, match=re.escape(
+                "series of length 255 too short for window 64 "
+                "(need >= 256)")):
+            dfa_curve(np.random.default_rng(2).normal(size=255), cfg)
+        assert dfa_curve(np.arange(256.0), cfg).window_sizes.tolist() == [
+            8, 16, 32, 64]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"window_sizes": (8, 16), "detrend_degree": 0},
+         "detrend degree must be >= 1"),
+        ({"window_sizes": (8,)}, "need at least two window sizes"),
+        ({"window_sizes": (16, 8)}, "window sizes must be strictly ascending"),
+        ({"window_sizes": (8, 8, 16)},
+         "window sizes must be strictly ascending"),
+        ({"window_sizes": (3, 8), "detrend_degree": 2},
+         "smallest window 3 underdetermines a degree-2 fit"),
+    ])
+    def test_config_rejected_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DfaConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_fraction": 0.0}, "max_fraction must be in (0, 0.25], got 0.0"),
+        ({"max_fraction": -0.1}, "max_fraction must be in (0, 0.25], got -0.1"),
+        ({"max_fraction": 0.5}, "max_fraction must be in (0, 0.25], got 0.5"),
+        ({"num": 3}, "num must be >= 4, got 3"),
+        ({"num": 0}, "num must be >= 4, got 0"),
+    ])
+    def test_default_config_rejects_bad_parameters(self, kwargs, message,
+                                                   monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a window grid was built")
+
+        monkeypatch.setattr(dfa, "log_spaced_windows", no_grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_config(4000, **kwargs)
 
     def test_window_grid_respects_bounds(self):
         ws = log_spaced_windows(2000)
@@ -151,25 +187,28 @@ class TestCurve:
 class TestHurstEstimate:
     def test_exact_power_law(self):
         ms = [8, 16, 32, 64, 128]
-        curve = FluctuationCurve(points=tuple((m, m ** 0.75) for m in ms))
+        curve = FluctuationCurve(np.array(ms),
+                                 np.array([m ** 0.75 for m in ms]))
         est = estimate_hurst(curve)
         assert est.h == pytest.approx(0.75, abs=1e-9)
         assert est.fit_r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_power_law_with_prefactor(self):
         ms = [8, 16, 32, 64, 128]
-        curve = FluctuationCurve(points=tuple((m, 2 * m ** 0.5) for m in ms))
+        curve = FluctuationCurve(np.array(ms),
+                                 np.array([2 * m ** 0.5 for m in ms]))
         est = estimate_hurst(curve)
         assert est.h == pytest.approx(0.5, abs=1e-9)
         assert est.intercept == pytest.approx(math.log(2), abs=1e-9)
 
     def test_degenerate_all_zero_curve(self):
-        curve = FluctuationCurve(points=tuple((m, 0.0) for m in (8, 16, 32, 64)))
+        curve = FluctuationCurve(np.array([8, 16, 32, 64]), np.zeros(4))
         with pytest.raises(DegenerateInputError):
             estimate_hurst(curve)
 
     def test_insufficient_points(self):
-        curve = FluctuationCurve(points=((8, 1.0), (16, 2.0), (32, 3.0)))
+        curve = FluctuationCurve(np.array([8, 16, 32]),
+                                 np.array([1.0, 2.0, 3.0]))
         with pytest.raises(DegenerateInputError):
             estimate_hurst(curve)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import corpusgen
-from sentlen import cli, correlation, distribution, harness, textpipe
+from sentlen import cli, correlation, dfa, distribution, harness, textpipe
 from sentlen.cli import main as cli_main
 from sentlen.correlation import PearsonResult, RankTestResult
 from sentlen.dfa import HurstEstimate
@@ -79,6 +79,36 @@ class TestAnalyzeBook:
             "n40": "series of length 40 too short for DFA: window grid "
                    "[8, 9, 10] has 3 sizes, a fit needs 4",
         }
+
+    def test_each_series_prepared_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "book.txt"
+        path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
+        normalized, dfa_inputs, checks = [], [], []
+        mean_normalize = distribution.mean_normalize
+        hurst_of_series = dfa.hurst_of_series
+        post_init = dfa.DfaConfig.__post_init__
+
+        def record_normalize(series):
+            normalized.append(series)
+            return mean_normalize(series)
+
+        def record_hurst(series, config):
+            dfa_inputs.append(series)
+            return hurst_of_series(series, config)
+
+        def record_check(config):
+            checks.append(config)
+            post_init(config)
+
+        monkeypatch.setattr(distribution, "mean_normalize", record_normalize)
+        monkeypatch.setattr(dfa, "hurst_of_series", record_hurst)
+        monkeypatch.setattr(dfa.DfaConfig, "__post_init__", record_check)
+        assert isinstance(analyze_book(path, AnalysisConfig()), BookReport)
+        assert len(normalized) == 6 and len(checks) == 1
+        # the DFA reads the very float rows the comparisons normalized
+        rows = [id(s) for s in normalized]
+        assert [id(s) for s in dfa_inputs if id(s) in rows] == rows
+        assert all(s.dtype == float for s in normalized)
 
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(IngestionError):
@@ -470,17 +500,22 @@ class TestCli:
                 corpusgen.build_book(300, seed=seed), encoding="utf-8")
         (books / "bad.txt").write_bytes(b"\xff\xfe bad bytes. here.")
 
-        def analyze(out):
+        def analyze(out, fmt=fmt):
             assert cli_main(["analyze", str(books), "--out", str(out),
                              "--format", fmt]) == 0
             return _tree(out)
 
         assert {"skipped.csv", f"books/b2.{fmt}"} <= set(
             analyze(tmp_path / "out"))
+        analyze(tmp_path / "switched")
         (books / "bad.txt").write_text(corpusgen.build_book(300, seed=3),
                                        encoding="utf-8")
         (books / "b2.txt").unlink()
         assert analyze(tmp_path / "out") == analyze(tmp_path / "fresh")
+        # a rerun in the other format leaves no file of the first one
+        other = "csv" if fmt == "json" else "json"
+        assert analyze(tmp_path / "switched", other) == analyze(
+            tmp_path / "fresh_other", other)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_serial_and_pooled_runs_write_identical_files(
