@@ -36,41 +36,36 @@ class DfaConfig:
         if self.detrend_degree < 1:
             raise ValueError("detrend degree must be >= 1")
         ws = self.window_sizes
-        if len(ws) < 2:
-            raise ValueError("need at least two window sizes")
         if list(ws) != sorted(set(ws)):
             raise ValueError("window sizes must be strictly ascending")
-        if ws[0] < self.detrend_degree + 2:
+        if ws and ws[0] < self.detrend_degree + 2:
             raise ValueError(
                 f"smallest window {ws[0]} underdetermines a degree-"
                 f"{self.detrend_degree} fit"
             )
-
-
-def log_spaced_windows(n: int, min_window: int = DEFAULT_MIN_WINDOW,
-                       max_fraction: float = DEFAULT_MAX_FRACTION,
-                       num: int = DEFAULT_NUM_WINDOWS) -> tuple[int, ...]:
-    """Log-spaced integer window sizes from min_window up to n * max_fraction."""
-    max_window = int(n * max_fraction)
-    if max_window < min_window:
-        raise DegenerateInputError(
-            f"series of length {n} too short for DFA (max window {max_window})"
-        )
-    grid = np.geomspace(min_window, max_window, num)
-    return tuple(sorted(set(int(round(m)) for m in grid)))
+        if len(ws) < MIN_FIT_POINTS:
+            raise ValueError(f"need at least {MIN_FIT_POINTS} window sizes")
 
 
 def default_config(n: int, detrend_degree: int = 1,
                    min_window: int = DEFAULT_MIN_WINDOW,
                    max_fraction: float = DEFAULT_MAX_FRACTION,
                    num: int = DEFAULT_NUM_WINDOWS) -> DfaConfig:
+    """`num` log-spaced integer window sizes, merged where they round alike,
+    from min_window (at least detrend_degree + 2) up to n * max_fraction."""
     if not 0 < max_fraction <= MAX_FRACTION:
         raise ValueError(
             f"max_fraction must be in (0, {MAX_FRACTION}], got {max_fraction!r}")
     if num < MIN_FIT_POINTS:
         raise ValueError(f"num must be >= {MIN_FIT_POINTS}, got {num!r}")
-    windows = log_spaced_windows(n, max(min_window, detrend_degree + 2),
-                                 max_fraction, num)
+    min_window = max(min_window, detrend_degree + 2)
+    max_window = int(n * max_fraction)
+    if max_window < min_window:
+        raise DegenerateInputError(
+            f"series of length {n} too short for DFA (max window {max_window})"
+        )
+    grid = np.geomspace(min_window, max_window, num)
+    windows = tuple(sorted(set(int(round(m)) for m in grid)))
     if len(windows) < MIN_FIT_POINTS:
         # rounding merged the log-spaced sizes; no fit could follow
         raise DegenerateInputError(

@@ -111,11 +111,19 @@ class CorpusSummary:
     h_vs_length_r: float | None
 
 
+def _load(field, path, kind):
+    """kind.from_file(path); a bad file is a ConfigError naming its field."""
+    try:
+        return kind.from_file(path)
+    except (OSError, UnicodeDecodeError, IngestionError) as exc:
+        raise ConfigError(f"cannot load {field} {path!r}: {exc}") from exc
+
+
 @lru_cache(maxsize=4)
 def _resources(stopwords_path, lemmas_path):
-    stops = (textpipe.StopwordList.from_file(stopwords_path)
+    stops = (_load("stopwords_path", stopwords_path, textpipe.StopwordList)
              if stopwords_path else textpipe.default_stopwords())
-    lexicon = (textpipe.LemmaLexicon.from_file(lemmas_path)
+    lexicon = (_load("lemmas_path", lemmas_path, textpipe.LemmaLexicon)
                if lemmas_path else textpipe.default_lemma_lexicon())
     return stops, lexicon
 
@@ -211,13 +219,8 @@ def hurst_length_correlation(reports) -> float:
 
 
 def _histogram(counts, bin_width):
-    if not counts:
-        return ()
-    n_bins = max(c for c in counts) // bin_width + 1
-    bins = [0] * n_bins
-    for c in counts:
-        bins[c // bin_width] += 1
-    return tuple((b * bin_width, bins[b]) for b in range(n_bins))
+    bins = np.bincount(np.asarray(counts, dtype=np.int64) // bin_width)
+    return tuple((b * bin_width, int(c)) for b, c in enumerate(bins))
 
 
 def summarize(reports, skipped, config: AnalysisConfig) -> CorpusSummary:
@@ -241,12 +244,10 @@ def summarize(reports, skipped, config: AnalysisConfig) -> CorpusSummary:
             mapped[i, j] = 100.0 * np.mean(
                 [rep.comparisons[idx].ks_mapped.accepted for rep in reports])
 
-    h_vs_len = None
-    if len(reports) >= 3:
-        try:
-            h_vs_len = hurst_length_correlation(reports)
-        except DegenerateInputError:
-            pass
+    try:
+        h_vs_len = hurst_length_correlation(reports)
+    except DegenerateInputError:
+        h_vs_len = None
 
     return CorpusSummary(
         book_count=len(reports),
@@ -264,6 +265,8 @@ def summarize(reports, skipped, config: AnalysisConfig) -> CorpusSummary:
 
 def analyze_corpus(directory, config: AnalysisConfig
                    ) -> tuple[CorpusSummary, list[BookReport]]:
+    # a bad resource file ends the run here, before any book is read
+    _resources(config.stopwords_path, config.lemmas_path)
     directory = Path(directory)
     paths = sorted(p for p in directory.glob("*.txt") if p.is_file())
     if not paths:

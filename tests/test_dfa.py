@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentlen import dfa
 from sentlen.dfa import (
@@ -15,7 +17,6 @@ from sentlen.dfa import (
     fluctuation,
     hurst_of_series,
     integrate_profile,
-    log_spaced_windows,
     shuffled_hurst,
 )
 from sentlen.exceptions import DegenerateInputError
@@ -133,12 +134,15 @@ class TestCurve:
     @pytest.mark.parametrize("kwargs, message", [
         ({"window_sizes": (8, 16), "detrend_degree": 0},
          "detrend degree must be >= 1"),
-        ({"window_sizes": (8,)}, "need at least two window sizes"),
+        ({"window_sizes": (8,)}, "need at least 4 window sizes"),
         ({"window_sizes": (16, 8)}, "window sizes must be strictly ascending"),
         ({"window_sizes": (8, 8, 16)},
          "window sizes must be strictly ascending"),
         ({"window_sizes": (3, 8), "detrend_degree": 2},
          "smallest window 3 underdetermines a degree-2 fit"),
+        ({"window_sizes": (8, 16)}, "need at least 4 window sizes"),
+        ({"window_sizes": (8, 16, 32)}, "need at least 4 window sizes"),
+        ({"window_sizes": ()}, "need at least 4 window sizes"),
     ])
     def test_config_rejected_when_built(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -156,15 +160,35 @@ class TestCurve:
         def no_grid(*args, **kwargs):
             raise AssertionError("a window grid was built")
 
-        monkeypatch.setattr(dfa, "log_spaced_windows", no_grid)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            default_config(4000, **kwargs)
+        monkeypatch.setattr(dfa.np, "geomspace", no_grid)
+        # at n = 0 a grid would be too short for DFA, so the parameter's
+        # ValueError shows that it is checked first
+        for n in (4000, 0):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                default_config(n, **kwargs)
 
     def test_window_grid_respects_bounds(self):
-        ws = log_spaced_windows(2000)
+        ws = default_config(2000).window_sizes
         assert ws[0] == 8
         assert ws[-1] == 500
         assert list(ws) == sorted(set(ws))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(12, 20_000),
+           degree_and_min=st.integers(1, 3).flatmap(lambda d: st.tuples(
+               st.just(d), st.integers(d + 2, 64))),
+           max_fraction=st.floats(0, 0.25, exclude_min=True),
+           num=st.integers(4, 32))
+    def test_default_config_is_refused_or_usable(self, n, degree_and_min,
+                                                 max_fraction, num):
+        degree, min_window = degree_and_min
+        try:
+            cfg = default_config(n, detrend_degree=degree,
+                                 min_window=min_window,
+                                 max_fraction=max_fraction, num=num)
+        except DegenerateInputError:
+            return
+        dfa_curve(np.arange(n, dtype=float), cfg)
 
     def test_scale_equivariance_and_shift_invariance(self):
         rng = np.random.default_rng(3)

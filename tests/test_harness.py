@@ -584,6 +584,47 @@ class TestConfigValidation:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,field,name,content", [
+        ("--stopwords", "stopwords_path", "missing.txt", None),
+        ("--lemmas", "lemmas_path", "missing.tsv", None),
+        ("--stopwords", "stopwords_path", "latin1.txt", b"caf\xe9\n"),
+        ("--lemmas", "lemmas_path", "latin1.tsv", b"caf\xe9\tcafe\n"),
+        ("--lemmas", "lemmas_path", "malformed.tsv", b"went\tgo\nran\n"),
+    ])
+    def test_bad_resource_file_exits_2_before_reading_a_book(
+            self, flag, field, name, content, small_corpus_dir, tmp_path,
+            monkeypatch, caplog):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a book was read")
+
+        monkeypatch.setattr(textpipe, "load_document", no_reading)
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        code = cli_main(["analyze", str(small_corpus_dir), "--out", str(out),
+                         flag, str(path)])
+        assert code == 2
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert f"cannot load {field} {str(path)!r}: " in errors[0]
+        with pytest.raises(ConfigError, match=field):
+            analyze_corpus(small_corpus_dir,
+                           AnalysisConfig(**{field: str(path)}))
+
+    def test_bad_resource_file_leaves_used_directory_as_it_was(
+            self, small_corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["analyze", str(small_corpus_dir), "--out",
+                         str(out)]) == 0
+        before = _tree(out)
+        for flag in ("--stopwords", "--lemmas"):
+            assert cli_main(["analyze", str(small_corpus_dir), "--out",
+                             str(out), flag, str(tmp_path / "typo")]) == 2
+            assert _tree(out) == before
+
     def test_boundary_values_accepted(self):
         AnalysisConfig(hist_bin_width=1, dfa_degree=1, dfa_min_window=3,
                        dfa_points=4, dfa_max_fraction=0.25, seed=0,
