@@ -7,7 +7,7 @@ Kolmogorov-Smirnov comparison, and detrended fluctuation analysis.
 """
 
 from .exceptions import ConfigError, DegenerateInputError, IngestionError, SentlenError
-from .series import CANONICAL_ORDER, LengthSeries, MeasureKind, extract_all, extract_series
+from .series import CANONICAL_ORDER, LengthSeries, MeasureKind, extract_all
 from .textpipe import (
     Document,
     LemmaLexicon,
@@ -36,7 +36,6 @@ __all__ = [
     "default_lemma_lexicon",
     "default_stopwords",
     "extract_all",
-    "extract_series",
     "load_document",
     "segment_sentences",
     "sentence_tokens",

@@ -5,9 +5,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
+from pathlib import Path
 
-from .exceptions import SentlenError
+from .exceptions import ConfigError, SentlenError
 from .harness import AnalysisConfig, analyze_corpus, emit_reports
 
 log = logging.getLogger("sentlen")
@@ -54,16 +56,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="structured output format (default %(default)s)")
     p.add_argument("--jobs", dest="jobs", type=int,
                    help="parallel worker processes, at most one per book "
-                        "and CPU (default %(default)s)")
+                        "and usable CPU (default %(default)s)")
     p.add_argument("--hist-bin-width", dest="hist_bin_width", type=int,
                    help="sentence-count histogram bin width "
                         "(default %(default)s)")
     return parser
 
 
+def _check_out_dir(out) -> None:
+    """Refuse an --out that is not, and cannot be made, a writable
+    directory; creates nothing."""
+    path = Path(out).absolute()
+    while not os.path.exists(path):
+        path = path.parent
+    if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(
+            f"cannot write --out {out!r}: {path} is not a writable directory")
+
+
 def run_analyze(args) -> int:
     config = AnalysisConfig(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(AnalysisConfig)})
+    _check_out_dir(args.out)
     summary, reports = analyze_corpus(args.input_dir, config)
     written = emit_reports(summary, reports, args.out, formats=(args.format,))
     log.info("analyzed %d books (%d skipped), wrote %d files to %s",

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import LinearMap, fit_linear_map  # noqa: F401 (re-export)
+from .correlation import fit_linear_map
 from .exceptions import DegenerateInputError
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import operator
@@ -46,7 +47,7 @@ class AnalysisConfig:
     p_threshold: float = 0.01
     min_sentences: int = 200
     hist_bin_width: int = 1000
-    #: worker processes; never more than books or CPUs
+    #: worker processes; never more than books or CPUs this process may use
     jobs: int = 1
 
     def __post_init__(self):
@@ -272,7 +273,9 @@ def analyze_corpus(directory, config: AnalysisConfig
     if not paths:
         raise IngestionError(f"no .txt files found in {directory}")
 
-    workers = min(config.jobs, len(paths), os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(config.jobs, len(paths), cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_safe_analyze, paths,
@@ -362,30 +365,28 @@ def _book_record(rep: BookReport) -> dict:
     }
 
 
-def _write_atomic(path: Path, write) -> None:
-    """Call write(fh) on a temporary file beside `path`, then rename it
-    onto `path`, so a crash never leaves a partial output file."""
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it onto
+    `path`, so a crash never leaves a partial output file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline="", encoding="utf-8") as fh:
-            write(fh)
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_json(path: Path, record: dict) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    _write_atomic(path, lambda fh: fh.write(text))
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    _write_atomic(path, write)
+def _json_text(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 _BOOK_CSV_HEADER = [
@@ -447,71 +448,67 @@ def _summary_record(summary: CorpusSummary) -> dict:
     }
 
 
+def _render(summary: CorpusSummary, reports, fmt) -> dict[str, str]:
+    """Every file a run in format `fmt` ("json" or "csv") writes:
+    {path relative to OUT_DIR: text}."""
+    reports = sorted(reports, key=lambda r: r.book_id)
+    if fmt == "json":
+        files = {f"books/{rep.book_id}.json": _json_text(_book_record(rep))
+                 for rep in reports}
+        files["summary.json"] = _json_text(_summary_record(summary))
+    else:
+        files = {f"books/{rep.book_id}.csv":
+                 _csv_text(_BOOK_CSV_HEADER, _book_csv_rows(rep))
+                 for rep in reports}
+        # the scalar entries of the JSON summary, in its order
+        files["summary.csv"] = _csv_text(
+            ["key", "value"],
+            [[key, _fmt(value)]
+             for key, value in _summary_record(summary).items()
+             if not isinstance(value, list)])
+
+    files["plots/sentence_count_histogram.csv"] = _csv_text(
+        ["bin_start", "count"], summary.sentence_count_histogram)
+    for name, column, values in (
+            ("pearson_cdf", "r", summary.r_values),
+            ("ks_kappa_cdf", "kappa", summary.kappa_values),
+            ("hurst_delta_cdf", "abs_delta_h", summary.delta_h_values)):
+        files[f"plots/{name}.csv"] = _csv_text(
+            [column, "cumulative_fraction"], _cdf_rows(values))
+    for name, matrix in (("plain", summary.acceptance_plain),
+                         ("mapped", summary.acceptance_mapped)):
+        files[f"plots/ks_acceptance_{name}.csv"] = _csv_text(
+            [""] + [k.label for k in CANONICAL_ORDER][1:],
+            _acceptance_rows(matrix))
+    if summary.skipped:
+        files["skipped.csv"] = _csv_text(
+            ["book_id", "reason"],
+            [[s.book_id, s.reason] for s in summary.skipped])
+    return files
+
+
 def emit_reports(summary: CorpusSummary, reports, out_dir,
                  formats=("json",)) -> list[Path]:
     """Write per-book records, the corpus summary, and plot-ready CSVs.
-    Deterministic: identical inputs produce byte-identical files.  Into a
-    used directory, it leaves the tree a fresh run writes for `formats`."""
+    Deterministic: identical inputs produce byte-identical files.  Every
+    file is rendered before any is written, so a failure while rendering
+    leaves `out_dir` as it was.  Into a used directory, it leaves the tree
+    a fresh run writes for `formats`."""
+    files = {}
+    for fmt in formats:
+        files.update(_render(summary, reports, fmt))
+
     out_dir = Path(out_dir)
     books_dir = out_dir / "books"
-    plots_dir = out_dir / "plots"
     try:
         books_dir.mkdir(parents=True, exist_ok=True)
-        plots_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "plots").mkdir(exist_ok=True)
     except OSError as exc:
         raise IngestionError(f"cannot create output directory: {exc}") from exc
 
-    written = []
-    reports = sorted(reports, key=lambda r: r.book_id)
-    for rep in reports:
-        if "json" in formats:
-            path = books_dir / f"{rep.book_id}.json"
-            _write_json(path, _book_record(rep))
-            written.append(path)
-        if "csv" in formats:
-            path = books_dir / f"{rep.book_id}.csv"
-            _write_csv(path, _BOOK_CSV_HEADER, _book_csv_rows(rep))
-            written.append(path)
-
-    if "json" in formats:
-        path = out_dir / "summary.json"
-        _write_json(path, _summary_record(summary))
-        written.append(path)
-    if "csv" in formats:
-        path = out_dir / "summary.csv"
-        # the scalar entries of the JSON summary, in its order
-        _write_csv(path, ["key", "value"],
-                   [[key, _fmt(value)]
-                    for key, value in _summary_record(summary).items()
-                    if not isinstance(value, list)])
-        written.append(path)
-
-    plot_files = [
-        ("sentence_count_histogram.csv", ["bin_start", "count"],
-         [[b, c] for b, c in summary.sentence_count_histogram]),
-        ("pearson_cdf.csv", ["r", "cumulative_fraction"],
-         _cdf_rows(summary.r_values)),
-        ("ks_kappa_cdf.csv", ["kappa", "cumulative_fraction"],
-         _cdf_rows(summary.kappa_values)),
-        ("hurst_delta_cdf.csv", ["abs_delta_h", "cumulative_fraction"],
-         _cdf_rows(summary.delta_h_values)),
-        ("ks_acceptance_plain.csv",
-         [""] + [k.label for k in CANONICAL_ORDER][1:],
-         _acceptance_rows(summary.acceptance_plain)),
-        ("ks_acceptance_mapped.csv",
-         [""] + [k.label for k in CANONICAL_ORDER][1:],
-         _acceptance_rows(summary.acceptance_mapped)),
-    ]
-    for name, header, rows in plot_files:
-        path = plots_dir / name
-        _write_csv(path, header, rows)
-        written.append(path)
-
-    if summary.skipped:
-        path = out_dir / "skipped.csv"
-        _write_csv(path, ["book_id", "reason"],
-                   [[s.book_id, s.reason] for s in summary.skipped])
-        written.append(path)
+    written = [out_dir / rel for rel in files]
+    for path, text in zip(written, files.values()):
+        _write_atomic(path, text)
 
     # only now that every write succeeded: drop what an earlier run left,
     # in either format

@@ -8,8 +8,7 @@ import numpy as np
 
 from .textpipe import CANONICAL_ORDER, Document, MeasureKind
 
-__all__ = ["CANONICAL_ORDER", "LengthSeries", "MeasureKind",
-           "extract_all", "extract_series"]
+__all__ = ["CANONICAL_ORDER", "LengthSeries", "MeasureKind", "extract_all"]
 
 
 @dataclass(frozen=True)
@@ -20,11 +19,6 @@ class LengthSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def extract_series(doc: Document, kind: MeasureKind) -> LengthSeries:
-    return LengthSeries(book_id=doc.id, kind=kind,
-                        values=doc.lengths[CANONICAL_ORDER.index(kind)])
 
 
 def extract_all(doc: Document) -> list[LengthSeries]:

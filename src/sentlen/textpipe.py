@@ -84,9 +84,6 @@ class StopwordList:
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     @classmethod
     def from_file(cls, path) -> "StopwordList":
         text = _read_nfc(path)
@@ -105,9 +102,6 @@ class LemmaLexicon:
 
     def lemma_of(self, normalized: str) -> str:
         return self.mapping.get(normalized, normalized)
-
-    def __len__(self) -> int:
-        return len(self.mapping)
 
     @classmethod
     def from_file(cls, path) -> "LemmaLexicon":

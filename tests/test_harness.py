@@ -7,9 +7,9 @@ import pytest
 import corpusgen
 from sentlen import cli, correlation, dfa, distribution, harness, textpipe
 from sentlen.cli import main as cli_main
-from sentlen.correlation import PearsonResult, RankTestResult
+from sentlen.correlation import LinearMap, PearsonResult, RankTestResult
 from sentlen.dfa import HurstEstimate
-from sentlen.distribution import KsResult, LinearMap
+from sentlen.distribution import KsResult
 from sentlen.exceptions import ConfigError, DegenerateInputError, IngestionError
 from sentlen.harness import (
     PAIR_INDICES,
@@ -260,16 +260,54 @@ class TestEmitReports:
         emit_reports(summary, reports, out, formats=("json",))
         assert (out / "skipped.csv").exists()
 
-    def test_interrupted_write_leaves_no_partial_file(self, tmp_path):
-        def rows():
-            yield ["a", "1"]
+    def test_interrupted_write_leaves_no_partial_file(self, small_results,
+                                                      tmp_path, monkeypatch):
+        summary, reports = small_results
+        target = tmp_path / "old.csv"
+        target.write_text("old\n", encoding="utf-8")
+
+        def interrupt(*args):
             raise KeyboardInterrupt
 
-        with pytest.raises(KeyboardInterrupt):
-            harness._write_csv(tmp_path / "new.csv", ["key", "value"], rows())
+        with monkeypatch.context() as m:
+            m.setattr(harness.os, "replace", interrupt)
+            for path in (tmp_path / "new.csv", target):
+                with pytest.raises(KeyboardInterrupt):
+                    harness._write_atomic(path, "key,value\na,1\n")
+        # no .tmp file, no new target, and the old target unchanged
+        assert _tree(tmp_path) == {"old.csv": b"old\n"}
+
+        # an unserializable record fails while rendering: nothing is written
+        monkeypatch.setattr(harness, "_book_record",
+                            lambda rep: {"a": object()})
+        out = tmp_path / "out"
         with pytest.raises(TypeError):
-            harness._write_json(tmp_path / "new.json", {"a": object()})
-        assert list(tmp_path.iterdir()) == []
+            emit_reports(summary, reports, out, formats=("csv", "json"))
+        assert not out.exists()
+
+    def test_rerun_interrupted_while_rendering_keeps_every_file(
+            self, small_corpus_dir, small_results, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        emit_reports(*small_results, out)
+        before = _tree(out)
+        rerun = analyze_corpus(small_corpus_dir, AnalysisConfig(seed=1))
+        emit_reports(*rerun, tmp_path / "seed1")
+        assert _tree(tmp_path / "seed1") != before  # the seed moves h_shuffled
+
+        book_record = harness._book_record
+        rendered = []
+
+        def interrupt_at_second_book(rep):
+            rendered.append(rep.book_id)
+            if len(rendered) == 2:
+                raise KeyboardInterrupt
+            return book_record(rep)
+
+        monkeypatch.setattr(harness, "_book_record", interrupt_at_second_book)
+        with pytest.raises(KeyboardInterrupt):
+            emit_reports(*rerun, out)
+        assert len(rendered) == 2
+        assert _tree(out) == before
 
     def test_interrupted_rerun_keeps_previous_files(self, small_results,
                                                     tmp_path, monkeypatch):
@@ -528,6 +566,8 @@ class TestCli:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         trees = []
         for jobs in ("1", "2"):
@@ -614,6 +654,24 @@ class TestConfigValidation:
             analyze_corpus(small_corpus_dir,
                            AnalysisConfig(**{field: str(path)}))
 
+    @pytest.mark.parametrize("out", ["afile", "afile/out", "afile/out/deeper"])
+    def test_unusable_out_exits_2_before_reading_a_book(
+            self, out, small_corpus_dir, tmp_path, monkeypatch, caplog):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a book was read")
+
+        monkeypatch.setattr(textpipe, "load_document", no_reading)
+        (tmp_path / "afile").write_text("a regular file\n", encoding="utf-8")
+        code = cli_main(["analyze", str(small_corpus_dir), "--out",
+                         str(tmp_path / out)])
+        assert code == 2
+        assert _tree(tmp_path) == {"afile": b"a regular file\n"}
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [
+            f"error: cannot write --out {str(tmp_path / out)!r}: "
+            f"{tmp_path / 'afile'} is not a writable directory"]
+
     def test_bad_resource_file_leaves_used_directory_as_it_was(
             self, small_corpus_dir, tmp_path):
         out = tmp_path / "out"
@@ -631,14 +689,17 @@ class TestConfigValidation:
                        p_threshold=1e-9, min_sentences=0, jobs=1)
 
 
-@pytest.mark.parametrize("jobs,cpus,expected", [
-    (64, 64, 3),     # no more workers than books
-    (64, 2, 2),      # nor than CPUs
-    (2, 64, 2),
-    (1, 64, None),   # one worker runs in process
-    (64, None, None),
+@pytest.mark.parametrize("jobs,cpus,affinity,expected", [
+    (64, 64, 64, 3),      # no more workers than books
+    (64, 2, 2, 2),        # nor than CPUs
+    (2, 64, 64, 2),
+    (1, 64, 64, None),    # one worker runs in process
+    (64, None, None, None),
+    (64, 2, None, 2),     # no sched_getaffinity: os.cpu_count() bounds
+    (2, 2, 1, None),      # nor than CPUs this process may use (taskset -c 0)
 ])
-def test_pool_workers_clamped(jobs, cpus, expected, tmp_path, monkeypatch):
+def test_pool_workers_clamped(jobs, cpus, affinity, expected, tmp_path,
+                              monkeypatch):
     for name in ("a", "b", "c"):
         (tmp_path / f"{name}.txt").write_text("Short. Book.", encoding="utf-8")
     pools = []
@@ -658,6 +719,11 @@ def test_pool_workers_clamped(jobs, cpus, expected, tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)), raising=False)
     summary, _ = analyze_corpus(tmp_path, AnalysisConfig(jobs=jobs))
     assert len(summary.skipped) == 3
     assert pools == ([] if expected is None else [expected])

@@ -1,9 +1,14 @@
 import numpy as np
 
 import corpusgen
-from sentlen import MeasureKind, extract_all, extract_series
+from sentlen import MeasureKind, extract_all
 from sentlen.series import CANONICAL_ORDER
 from sentlen.textpipe import document_from_text
+
+
+def _series(doc, kind):
+    """The series of measure `kind`, by its canonical index."""
+    return extract_all(doc)[CANONICAL_ORDER.index(kind)]
 
 
 def test_canonical_order_labels():
@@ -14,16 +19,16 @@ def test_canonical_order_labels():
 class TestExcerptCounts:
     def test_words(self, stops, lexicon, excerpt_text):
         doc = document_from_text("x", excerpt_text, stops, lexicon)
-        assert extract_series(doc, MeasureKind.WORDS).values[0] == 8
+        assert _series(doc, MeasureKind.WORDS).values[0] == 8
 
     def test_nonstop_words(self, stops, lexicon, excerpt_text):
         doc = document_from_text("x", excerpt_text, stops, lexicon)
-        assert extract_series(doc, MeasureKind.NONSTOP_WORDS).values[0] == 4
+        assert _series(doc, MeasureKind.NONSTOP_WORDS).values[0] == 4
 
     def test_chars(self, stops, lexicon, excerpt_text):
         # To(2) Sherlock(8) Holmes(6) she(3) is(2) always(6) the(3) woman(5)
         doc = document_from_text("x", excerpt_text, stops, lexicon)
-        assert extract_series(doc, MeasureKind.CHARS).values[0] == 35
+        assert _series(doc, MeasureKind.CHARS).values[0] == 35
 
     def test_six_series_of_length_four(self, stops, lexicon, excerpt_text):
         doc = document_from_text("x", excerpt_text, stops, lexicon)
@@ -71,6 +76,6 @@ class TestInvariants:
 
     def test_deterministic(self, stops, lexicon):
         doc = self._doc(stops, lexicon)
-        a = extract_series(doc, MeasureKind.NONSTOP_LEMMA_CHARS)
-        b = extract_series(doc, MeasureKind.NONSTOP_LEMMA_CHARS)
+        a = _series(doc, MeasureKind.NONSTOP_LEMMA_CHARS)
+        b = _series(doc, MeasureKind.NONSTOP_LEMMA_CHARS)
         assert np.array_equal(a.values, b.values)

@@ -270,7 +270,7 @@ class TestResourceLoading:
         path.write_text("The\nand\n\nof\n", encoding="utf-8")
         stops = StopwordList.from_file(path)
         assert "the" in stops and "and" in stops and "of" in stops
-        assert len(stops) == 3
+        assert len(stops.words) == 3
 
     def test_lexicon_file(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
