@@ -1,5 +1,5 @@
-"""Distribution comparison: empirical CDFs, the two-sample
-Kolmogorov-Smirnov test, and linear-map-then-KS."""
+"""Distribution comparison: the two-sample Kolmogorov-Smirnov distance
+and test, and linear-map-then-KS."""
 
 from __future__ import annotations
 
@@ -10,30 +10,6 @@ import numpy as np
 
 from .correlation import fit_linear_map
 from .exceptions import DegenerateInputError
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical CDF over a sorted sample."""
-
-    sorted_samples: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "Ecdf":
-        arr = np.sort(np.asarray(samples, dtype=float))
-        if arr.size == 0:
-            raise DegenerateInputError("ECDF requires at least one sample")
-        return cls(sorted_samples=arr)
-
-    @property
-    def n(self) -> int:
-        return self.sorted_samples.size
-
-    def evaluate(self, x):
-        """C(x) = (# samples <= x) / n, vectorized."""
-        idx = np.searchsorted(self.sorted_samples, np.asarray(x, dtype=float),
-                              side="right")
-        return idx / self.n
 
 
 @dataclass(frozen=True)
@@ -55,14 +31,20 @@ def mean_normalize(series) -> np.ndarray:
     return arr / mean
 
 
-def ks_distance(a: Ecdf, b: Ecdf) -> float:
-    """sup_x |C1(x) - C2(x)|.
+def ks_distance(a, b) -> float:
+    """sup_x |C_a(x) - C_b(x)|, with C the right-continuous empirical CDF
+    of a sample: C(x) = (# samples <= x) / n.
 
     Both CDFs are step functions, so the supremum is attained at a
     sample point; evaluating on the merged samples is exact.
     """
-    grid = np.concatenate([a.sorted_samples, b.sorted_samples])
-    return float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise DegenerateInputError("KS distance requires at least one sample per side")
+    grid = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                               - np.searchsorted(b, grid, side="right") / b.size)))
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -93,7 +75,7 @@ def ks_two_sample(a, b, threshold: float = 0.01) -> KsResult:
         raise DegenerateInputError(
             f"KS test needs >= 5 samples per side, got {a.size} and {b.size}"
         )
-    kappa = ks_distance(Ecdf.from_samples(a), Ecdf.from_samples(b))
+    kappa = ks_distance(a, b)
     n_e = a.size * b.size / (a.size + b.size)
     lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * kappa
     p = kolmogorov_sf(lam)

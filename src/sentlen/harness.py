@@ -493,7 +493,13 @@ def emit_reports(summary: CorpusSummary, reports, out_dir,
     Deterministic: identical inputs produce byte-identical files.  Every
     file is rendered before any is written, so a failure while rendering
     leaves `out_dir` as it was.  Into a used directory, it leaves the tree
-    a fresh run writes for `formats`."""
+    a fresh run writes for `formats`.
+
+    `formats` is a non-empty sequence of "json" and "csv"; anything else
+    raises ValueError before any file is rendered or touched."""
+    if not formats or not set(formats) <= {"json", "csv"}:
+        raise ValueError("formats must be a non-empty sequence of 'json' "
+                         f"and 'csv', got {formats!r}")
     files = {}
     for fmt in formats:
         files.update(_render(summary, reports, fmt))

@@ -164,45 +164,43 @@ def tokenize(raw_sentence: str, stops: StopwordList | None = None,
     return [t for t in tokens if t is not None]
 
 
-def _measures(token: Token | None) -> tuple[int, ...]:
-    """What one piece adds to each measure, in CANONICAL_ORDER."""
-    if token is None:
-        return (0,) * len(CANONICAL_ORDER)
-    kept = int(not token.is_stop)
-    counts = {
-        MeasureKind.WORDS: 1,
-        MeasureKind.CHARS: len(token.surface),
-        MeasureKind.LEMMA_CHARS: len(token.lemma),
-        MeasureKind.NONSTOP_WORDS: kept,
-        MeasureKind.NONSTOP_CHARS: kept * len(token.surface),
-        MeasureKind.NONSTOP_LEMMA_CHARS: kept * len(token.lemma),
-    }
-    return tuple(counts[kind] for kind in CANONICAL_ORDER)
-
-
 def sentence_lengths(text: str, stops: StopwordList,
                      lexicon: LemmaLexicon) -> np.ndarray:
     """The six measures of every sentence of `text`, as a read-only
     (6, n_sentences) int64 array in CANONICAL_ORDER.
 
-    Each distinct piece is read once per call; a sentence's lengths are
-    the sums of its pieces' contributions."""
+    Each distinct piece is read once per call into one table of what it
+    adds to each measure; a sentence's lengths are the sums of its
+    pieces' entries."""
     pieces: list[str] = []
-    bounds = [0]  # sentence i is pieces[bounds[i]:bounds[i + 1]]
+    # sentence i begins at pieces[starts[i]]; every sentence has a word, so
+    # the starts strictly increase, as reduceat needs
+    starts = []
     for raw in segment_sentences(unicodedata.normalize("NFC", text)):
+        starts.append(len(pieces))
         pieces += raw.split()
-        bounds.append(len(pieces))
     row_of = dict.fromkeys(pieces)
     for row, piece in enumerate(row_of):
         row_of[piece] = row
-    table = np.array([_measures(read_piece(p, stops, lexicon)) for p in row_of],
-                     dtype=np.int64).reshape(-1, len(CANONICAL_ORDER))
+    tokens = [read_piece(p, stops, lexicon) for p in row_of]
+    word, chars, lemma_chars, kept = np.array(
+        [(0, 0, 0, 0) if t is None
+         else (1, len(t.surface), len(t.lemma), not t.is_stop) for t in tokens],
+        dtype=np.int64).reshape(-1, 4).T
+    table = {
+        MeasureKind.WORDS: word,
+        MeasureKind.CHARS: chars,
+        MeasureKind.LEMMA_CHARS: lemma_chars,
+        MeasureKind.NONSTOP_WORDS: kept,
+        MeasureKind.NONSTOP_CHARS: kept * chars,
+        MeasureKind.NONSTOP_LEMMA_CHARS: kept * lemma_chars,
+    }
     rows = np.fromiter(map(row_of.__getitem__, pieces), dtype=np.intp,
                        count=len(pieces))
-    cumulative = np.zeros((len(pieces) + 1, len(CANONICAL_ORDER)), dtype=np.int64)
-    np.cumsum(table[rows], axis=0, out=cumulative[1:])
-    bounds = np.asarray(bounds)
-    lengths = np.ascontiguousarray((cumulative[bounds[1:]] - cumulative[bounds[:-1]]).T)
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.empty((len(CANONICAL_ORDER), starts.size), dtype=np.int64)
+    for kind, out in zip(CANONICAL_ORDER, lengths):
+        np.add.reduceat(table[kind][rows], starts, out=out)
     lengths.setflags(write=False)
     return lengths
 

@@ -6,7 +6,6 @@ import scipy.stats
 
 import corpusgen
 from sentlen.distribution import (
-    Ecdf,
     kolmogorov_sf,
     ks_after_linear_map,
     ks_distance,
@@ -40,24 +39,29 @@ class TestMeanNormalize:
 
 class TestKsDistance:
     def test_identical(self):
-        e = Ecdf.from_samples([1, 2, 3])
+        e = [1, 2, 3]
         assert ks_distance(e, e) == 0.0
 
     def test_disjoint_supports(self):
-        a = Ecdf.from_samples([1, 2])
-        b = Ecdf.from_samples([3, 4])
+        a = [1, 2]
+        b = [3, 4]
         assert ks_distance(a, b) == 1.0
 
     def test_hand_enumerated(self):
-        a = Ecdf.from_samples([1, 2, 3])
-        b = Ecdf.from_samples([2, 3, 4])
+        a = [1, 2, 3]
+        b = [2, 3, 4]
         assert ks_distance(a, b) == pytest.approx(1 / 3, abs=1e-15)
+
+    def test_empty_sample(self):
+        for a, b in (([], [1, 2]), ([1, 2], []), ([], [])):
+            with pytest.raises(DegenerateInputError):
+                ks_distance(a, b)
 
     def test_symmetric_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            a = Ecdf.from_samples(rng.normal(size=rng.integers(1, 30)))
-            b = Ecdf.from_samples(rng.normal(size=rng.integers(1, 30)))
+            a = rng.normal(size=rng.integers(1, 30))
+            b = rng.normal(size=rng.integers(1, 30))
             d = ks_distance(a, b)
             assert d >= 0
             assert d == ks_distance(b, a)
@@ -65,7 +69,7 @@ class TestKsDistance:
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            e = [Ecdf.from_samples(rng.integers(0, 10, size=rng.integers(1, 20)))
+            e = [rng.integers(0, 10, size=rng.integers(1, 20))
                  for _ in range(3)]
             assert ks_distance(e[0], e[2]) <= (
                 ks_distance(e[0], e[1]) + ks_distance(e[1], e[2]) + 1e-15)
@@ -74,20 +78,16 @@ class TestKsDistance:
         rng = np.random.default_rng(3)
         a = rng.normal(size=40)
         b = rng.normal(size=25)
-        base = ks_distance(Ecdf.from_samples(a), Ecdf.from_samples(b))
+        base = ks_distance(a, b)
         for f in (np.exp, np.arctan, lambda v: v ** 3):
-            assert ks_distance(Ecdf.from_samples(f(a)),
-                               Ecdf.from_samples(f(b))) == pytest.approx(
-                base, abs=1e-15)
+            assert ks_distance(f(a), f(b)) == pytest.approx(base, abs=1e-15)
 
     def test_scaling_invariance_after_mean_normalization(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(1, 10, size=50)
         b = rng.uniform(1, 10, size=30)
-        base = ks_distance(Ecdf.from_samples(mean_normalize(a)),
-                           Ecdf.from_samples(mean_normalize(b)))
-        scaled = ks_distance(Ecdf.from_samples(mean_normalize(3.7 * a)),
-                             Ecdf.from_samples(mean_normalize(3.7 * b)))
+        base = ks_distance(mean_normalize(a), mean_normalize(b))
+        scaled = ks_distance(mean_normalize(3.7 * a), mean_normalize(3.7 * b))
         assert scaled == pytest.approx(base, abs=1e-12)
 
 

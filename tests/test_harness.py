@@ -309,6 +309,24 @@ class TestEmitReports:
         assert len(rendered) == 2
         assert _tree(out) == before
 
+    def test_unknown_or_no_format_is_refused_before_rendering(
+            self, small_results, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        emit_reports(*small_results, out, formats=("json", "csv"))
+        before = _tree(out)
+
+        def no_render(*args):
+            raise AssertionError("rendered")
+
+        monkeypatch.setattr(harness, "_render", no_render)
+        for formats in (("JSON",), (), ("xml",), ("json", "xml")):
+            with pytest.raises(ValueError, match="formats"):
+                emit_reports(*small_results, out, formats=formats)
+            with pytest.raises(ValueError, match="formats"):
+                emit_reports(*small_results, tmp_path / "new", formats=formats)
+        assert _tree(out) == before
+        assert not (tmp_path / "new").exists()
+
     def test_interrupted_rerun_keeps_previous_files(self, small_results,
                                                     tmp_path, monkeypatch):
         summary, reports = small_results

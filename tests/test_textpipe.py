@@ -1,5 +1,6 @@
 import re
 import string
+import tracemalloc
 import unicodedata
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpusgen
 from sentlen import (
     CANONICAL_ORDER,
     IngestionError,
@@ -175,6 +177,26 @@ class TestLoadDocument:
         assert doc.lengths.dtype == np.int64
         with pytest.raises(ValueError):
             doc.lengths[0, 0] = 1
+        # a wordless text has no sentence, and still six rows
+        for text, count in ((excerpt_text, 4), ("-- ... ?! ,,\n", 0)):
+            lengths = document_from_text("x", text, stops, lexicon).lengths
+            assert lengths.shape == (6, count)
+            assert lengths.dtype == np.int64
+            assert lengths.flags.c_contiguous
+            assert not lengths.flags.writeable
+
+    def test_ingest_peak_memory_is_bounded_by_text_size(self, stops, lexicon):
+        # the pieces list is the largest structure that grows with the
+        # text; no array has a row per piece and a column per measure
+        text = corpusgen.build_book(12000, seed=11)
+        assert len(text) >= 2_000_000
+        tracemalloc.start()
+        try:
+            sentence_lengths(text, stops, lexicon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * len(text), f"{peak / len(text):.1f} bytes per character"
 
 
 class TestUnicode:
