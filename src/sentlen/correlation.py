@@ -23,6 +23,13 @@ EXACT_PVALUE_BELOW_N = 10
 _LN_DBL_MIN = math.log(sys.float_info.min)
 _LN_GAMMA_HALF = 0.5 * math.log(math.pi)
 
+# _ties counts values into bincount slots while the largest is at most this
+# many times the array's length; wider ranges sort with np.unique
+_SLOTS_PER_VALUE = 4
+# concordance_counts fills a kx x ky table of value pairs while it has at
+# most this many cells per point; larger tables lose to the merge
+_CELLS_PER_POINT = 32
+
 
 @dataclass(frozen=True)
 class PearsonResult:
@@ -78,7 +85,20 @@ def pearson(x, y) -> PearsonResult:
 
 def _ties(values) -> tuple[np.ndarray, np.ndarray]:
     """Dense ranks (0 for the smallest value) and the multiplicity of each
-    distinct value: the table every rank statistic reads its ties from."""
+    distinct value: the table every rank statistic reads its ties from.
+
+    Non-negative integral values up to the slot bound are counted with one
+    `np.bincount`; the range is checked before the cast, so no value is
+    cast that int64 cannot hold.
+    """
+    values = np.asarray(values)
+    if values.size and 0 <= values.min() and \
+            values.max() <= _SLOTS_PER_VALUE * values.size:
+        slots = values.astype(np.int64)
+        if np.array_equal(slots, values):
+            counts = np.bincount(slots)
+            present = counts > 0
+            return (np.cumsum(present) - 1)[slots], counts[present]
     _, dense, counts = np.unique(values, return_inverse=True,
                                  return_counts=True)
     return dense, counts
@@ -129,17 +149,32 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     """(C, D, n0, tx, ty): concordant and discordant pair counts plus
     total pairs and pairs tied in x and in y.
 
-    D is Knight's: sort by one int64 key of the dense ranks of (x, y) and
-    count strict inversions of y, which skips pairs tied in either
-    coordinate.  Pairs tied in both are the pairs of equal keys.
+    With dense ranks a of x (kx values) and b of y (ky), the pairs come
+    from the kx x ky table N of points per (a, b) while it has at most
+    `_CELLS_PER_POINT` cells per point: D = sum of N[a, b] times the points
+    in rows a' > a and columns b' < b (a suffix cumsum over rows, then a
+    prefix cumsum over columns), and the pairs tied in both are the pairs
+    inside each cell.  A larger table gives way to Knight's count: sort
+    one int64 key of (a, b) and count strict inversions of b, which skips
+    pairs tied in either coordinate.  Both are exact integers.
     """
     rx, cx = _ties(np.asarray(x, dtype=float))
     ry, cy = _ties(np.asarray(y, dtype=float))
     n = rx.size
     n0 = n * (n - 1) // 2
-    key = np.sort(rx.astype(np.int64) * cy.size + ry)
-    d = _count_inversions(key % cy.size, cy.size)
-    txy = _pairs(_ties(key)[1])
+    kx, ky = cx.size, cy.size
+    key = rx.astype(np.int64) * ky + ry
+    if kx * ky <= _CELLS_PER_POINT * n:
+        table = np.bincount(key, minlength=kx * ky).reshape(kx, ky)
+        # later[a, b]: points in rows a' > a and columns b' <= b
+        later = np.cumsum(table[:0:-1], axis=0)[::-1]
+        np.cumsum(later, axis=1, out=later)
+        d = int(np.einsum("ij,ij->", table[:-1, 1:], later[:, :-1]))
+        txy = _pairs(table)
+    else:
+        key.sort()
+        d = _count_inversions(key % ky, ky)
+        txy = _pairs(_ties(key)[1])
     tx, ty = _pairs(cx), _pairs(cy)
     c = n0 - tx - ty + txy - d
     return c, d, n0, tx, ty

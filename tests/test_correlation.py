@@ -2,7 +2,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sentlen
+from sentlen import correlation
 from sentlen.correlation import (
     _count_inversions,
     _midranks,
@@ -256,6 +260,95 @@ class TestConcordanceCounts:
         assert concordance_counts(x, y) == brute_pair_counts(x, y)
 
 
+def _counts_by_path(x, y):
+    """concordance_counts(x, y) as called, through the merge (cell budget
+    0) and through the table (no budget), after checking that all three
+    equal the O(n^2) enumeration."""
+    expected = brute_pair_counts(x, y)
+    results = [concordance_counts(x, y)]
+    for budget in (0, 10**12):
+        with mock.patch.object(correlation, "_CELLS_PER_POINT", budget):
+            results.append(concordance_counts(x, y))
+    assert results == [expected] * 3
+    return results
+
+
+class TestConcordancePaths:
+    """The count table and the merge give the same exact counts."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pairs=st.one_of(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 30)),
+                 min_size=2, max_size=60),
+        st.lists(st.tuples(
+            st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0, 1e300]),
+            st.one_of(st.sampled_from([-0.0, 0.0, 0.25, -7.5]),
+                      st.floats(-1e6, 1e6))),
+            min_size=2, max_size=60)))
+    def test_integer_and_float_pairs(self, pairs):
+        x, y = (np.asarray(v, dtype=float) for v in zip(*pairs))
+        _counts_by_path(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0], [1.0, 0.0]),
+        ([2.0, 2.0], [5.0, 1.0]),
+        ([0.5, 3.0], [7.0, 7.0]),
+        ([4.0, 4.0], [4.0, 4.0]),
+    ])
+    def test_two_points(self, x, y):
+        _counts_by_path(np.array(x), np.array(y))
+
+    def test_all_tied_row_and_column(self):
+        rng = np.random.default_rng(18)
+        varied = rng.integers(0, 6, size=25).astype(float)
+        tied = np.full(25, 3.0)
+        for x, y in [(tied, varied), (varied, tied), (tied, tied)]:
+            c, d, n0, tx, ty = _counts_by_path(x, y)[0]
+            assert c == d == 0
+
+    def test_signed_zeros(self):
+        x = np.array([-0.0, 0.0, -0.0, 1.0, 0.0, -1.0])
+        y = np.array([0.0, -0.0, 2.0, -0.0, 1.0, 0.0])
+        _counts_by_path(x, y)
+        _counts_by_path(y, x)
+
+    @pytest.mark.parametrize("extra, uses_merge", [(0, False), (1, True)])
+    def test_either_side_of_the_cell_budget(self, extra, uses_merge,
+                                            monkeypatch):
+        # kx * ky at the budget (the table), then one row past it (the merge)
+        budget = correlation._CELLS_PER_POINT
+        n = budget + 8
+        rng = np.random.default_rng(19)
+        x = rng.permutation(np.arange(n) % (budget + extra)).astype(float)
+        y = rng.permutation(n).astype(float)
+        merges = []
+        merge = correlation._count_inversions
+
+        def spy(*args):
+            merges.append(args)
+            return merge(*args)
+
+        monkeypatch.setattr(correlation, "_count_inversions", spy)
+        assert concordance_counts(x, y) == brute_pair_counts(x, y)
+        assert bool(merges) is uses_merge
+        monkeypatch.undo()
+        _counts_by_path(x, y)
+
+    def test_peak_memory_is_linear_in_n(self):
+        # all-distinct floats would need an n x n table, 72 MB at n = 3000
+        n = 3000
+        rng = np.random.default_rng(21)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        expected = concordance_counts(x, y)
+        tracemalloc.start()
+        try:
+            assert concordance_counts(x, y) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * n
+
+
 class TestLinearMap:
     def test_exact_affine(self):
         x = np.array([1.0, 2.0, 5.0, 9.0])
@@ -385,6 +478,45 @@ class TestRankTable:
         arr = np.asarray(values, dtype=float if as_float else None)
         assert np.array_equal(_midranks(*_ties(arr)),
                               scipy.stats.rankdata(arr))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.one_of(
+        st.lists(st.one_of(
+            st.integers(0, 40).map(float),
+            st.sampled_from([-0.0, 0.0, -1.0, -2.5, 0.5, 2.5, 2.0**53,
+                             2.0**53 + 2, 9.3e18, 1e19, 1e300, -1e300])),
+            max_size=60).map(lambda v: np.array(v, dtype=float)),
+        st.lists(st.one_of(
+            st.integers(-3, 40),
+            st.sampled_from([2**53 + 1, 2**62, 2**63 - 1, -2**63])),
+            max_size=60).map(lambda v: np.array(v, dtype=np.int64))))
+    def test_ties_equal_unique(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dense, counts = _ties(values)
+        _, dense_u, counts_u = np.unique(values, return_inverse=True,
+                                         return_counts=True)
+        for got, want in [(dense, dense_u), (counts, counts_u)]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("dtype", [float, np.int64])
+    def test_ties_either_side_of_the_slot_bound(self, n, dtype, monkeypatch):
+        bound = correlation._SLOTS_PER_VALUE * n
+        for top in (bound, bound + 1):
+            values = np.arange(n, dtype=dtype)[::-1].copy()
+            values[0] = top
+            expected = np.unique(values, return_inverse=True,
+                                 return_counts=True)[1:]
+            with monkeypatch.context() as patch:
+                if top == bound:
+                    patch.setattr(np, "unique", None)  # the bincount path
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _ties(values)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [10, 11, 50, 3000])
     def test_spearman_pvalue_is_scipy_t_sf(self, n):
