@@ -123,8 +123,11 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
         profile[n - s * m:].reshape(s, m),
     ])
     basis = _detrend_basis(m, detrend_degree)
-    resid = windows - (windows @ basis) @ basis.T
-    return float(np.sqrt(np.mean(resid ** 2)))
+    # concatenate made a fresh copy: form the squared residual in it, and
+    # sum / size is np.mean's own arithmetic
+    windows -= (windows @ basis) @ basis.T
+    windows *= windows
+    return math.sqrt(windows.sum() / windows.size)
 
 
 def dfa_curve(series, config: DfaConfig) -> FluctuationCurve:

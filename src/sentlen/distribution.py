@@ -36,13 +36,16 @@ def ks_distance(a, b) -> float:
     of a sample: C(x) = (# samples <= x) / n.
 
     Both CDFs are step functions, so the supremum is attained at a
-    sample point; evaluating on the merged samples is exact.
+    sample point. Evaluating at the distinct values of each sorted side
+    (the last of each run of equal values) is exact, and reads the same
+    differences as the whole merged sample, so the result is the same bits.
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise DegenerateInputError("KS distance requires at least one sample per side")
-    grid = np.concatenate([a, b])
+    grid = np.concatenate([a[:-1][a[1:] != a[:-1]], a[-1:],
+                           b[:-1][b[1:] != b[:-1]], b[-1:]])
     return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
                                - np.searchsorted(b, grid, side="right") / b.size)))
 

@@ -87,6 +87,60 @@ def lstsq_fluctuation(profile, m, deg):
     return math.sqrt(np.mean((windows.T - vand @ coef) ** 2))
 
 
+def mean_fluctuation(profile, m, deg):
+    """F(m) as the (2s, m) window block, its projection residual and
+    np.mean of the squares, the arithmetic fluctuation must keep bit for
+    bit."""
+    n = profile.size
+    s = n // m
+    windows = np.concatenate([profile[:s * m].reshape(s, m),
+                              profile[n - s * m:].reshape(s, m)])
+    basis = _detrend_basis(m, deg)
+    return float(np.sqrt(np.mean((windows - (windows @ basis) @ basis.T)
+                                 ** 2)))
+
+
+class TestFluctuationBits:
+    @staticmethod
+    def assert_every_window_matches(n, seed):
+        profile = integrate_profile(
+            np.random.default_rng(seed).integers(1, 40, size=n))
+        for deg in (1, 2, 3):
+            for m in default_config(n, detrend_degree=deg).window_sizes:
+                assert fluctuation(profile, m, deg) == mean_fluctuation(
+                    profile, m, deg)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(68, 6000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_mean_of_squared_residuals(self, n, seed):
+        self.assert_every_window_matches(n, seed)
+
+    def test_equals_mean_of_squared_residuals_long_book(self):
+        self.assert_every_window_matches(15_000, 2026)
+
+    @pytest.mark.parametrize("make", [
+        lambda p: p,                          # float64: np.asarray keeps it
+        lambda p: p[:-3],                     # a view of a larger buffer
+        lambda p: p[::-1],                    # a negative-stride view
+        lambda p: np.round(p).astype(np.int64),
+        lambda p: p.astype(np.float32),
+    ], ids=["float64", "view", "reversed", "int64", "float32"])
+    def test_caller_profile_left_alone(self, make):
+        base = integrate_profile(
+            np.random.default_rng(7).integers(1, 40, size=403))
+        profile = make(base)
+        before, before_base = profile.tobytes(), base.tobytes()
+        for m in (8, 25, 50, 100):
+            fluctuation(profile, m, 1)
+        assert profile.tobytes() == before
+        assert base.tobytes() == before_base
+
+    def test_read_only_profile_accepted(self):
+        profile = integrate_profile(np.arange(400) % 7)
+        profile.setflags(write=False)
+        assert fluctuation(profile, 20, 2) == mean_fluctuation(profile, 20, 2)
+
+
 class TestProjection:
     @pytest.mark.parametrize("deg", [1, 2, 3])
     def test_matches_lstsq_formulation(self, deg):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpusgen
 from sentlen.distribution import (
@@ -89,6 +91,76 @@ class TestKsDistance:
         base = ks_distance(mean_normalize(a), mean_normalize(b))
         scaled = ks_distance(mean_normalize(3.7 * a), mean_normalize(3.7 * b))
         assert scaled == pytest.approx(base, abs=1e-12)
+
+
+def full_grid_ks_distance(a, b):
+    """Both right-continuous ECDFs read at all n_a + n_b merged sample
+    points: the oracle for ks_distance's distinct-value grid."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                               - np.searchsorted(b, grid, side="right") / b.size)))
+
+
+#: integer-valued sentence lengths; a narrow range gives heavy ties
+lengths = st.lists(st.integers(1, 40), min_size=1, max_size=300)
+#: values where equal runs, signed zeros and one-element sides abound
+tie_values = st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+                      min_size=1, max_size=40)
+
+
+class TestKsDistanceBits:
+    """ks_distance reads the ECDFs at the distinct values of each side; the
+    result must be the merged-grid result bit for bit (==, not approx)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=lengths, b=lengths)
+    def test_mean_normalized_lengths(self, a, b):
+        # the plain-KS input: integer-valued series over their mean
+        a, b = mean_normalize(a), mean_normalize(b)
+        assert ks_distance(a, b) == full_grid_ks_distance(a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=lengths, y=lengths,
+           alpha=st.one_of(
+               st.floats(-1e3, -1e-300),
+               st.just(0.0), st.just(-0.0),
+               st.sampled_from([5e-324, 1e-300, 1e-17, -1e-17]),
+               st.floats(1e-300, 1e3)),
+           beta=st.floats(-1e3, 1e3))
+    def test_mapped_against_integer_lengths(self, x, y, alpha, beta):
+        # the mapped-KS input: alpha * x + beta against the raw y
+        mapped = alpha * np.asarray(x, dtype=float) + beta
+        y = np.asarray(y, dtype=float)
+        assert ks_distance(mapped, y) == full_grid_ks_distance(mapped, y)
+        assert ks_distance(y, mapped) == full_grid_ks_distance(y, mapped)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=tie_values, b=tie_values)
+    def test_ties_signed_zeros_and_single_points(self, a, b):
+        assert ks_distance(a, b) == full_grid_ks_distance(a, b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=50),
+           b=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=50))
+    def test_any_finite_floats(self, a, b):
+        assert ks_distance(a, b) == full_grid_ks_distance(a, b)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ([1.0], [2.0], 1.0),
+        ([2.0], [1.0], 1.0),
+        ([3.0] * 7, [3.0] * 4, 0.0),
+        ([3.0] * 7, [4.0] * 4, 1.0),
+        ([-0.0, 0.0, 0.0], [0.0, -0.0], 0.0),
+        ([-0.0, 1.0], [0.0, 0.0, 1.0, 1.0], 0.0),
+        ([1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 2.0], 0.5),
+    ])
+    def test_hand_cases(self, a, b, expected):
+        assert ks_distance(a, b) == expected
+        assert full_grid_ks_distance(a, b) == expected
 
 
 class TestKsTwoSample:
