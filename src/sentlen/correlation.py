@@ -26,9 +26,13 @@ _LN_GAMMA_HALF = 0.5 * math.log(math.pi)
 # _ties counts values into bincount slots while the largest is at most this
 # many times the array's length; wider ranges sort with np.unique
 _SLOTS_PER_VALUE = 4
-# concordance_counts fills a kx x ky table of value pairs while it has at
-# most this many cells per point; larger tables lose to the merge
+# concordance_counts fills a kx x ky table of value pairs, and
+# _count_inversions a (block, rank) table, while it has at most this many
+# cells per point; larger tables lose to the merge
 _CELLS_PER_POINT = 32
+# _count_inversions compares the points inside blocks of this many at once
+_BLOCK = 32
+_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 
 
 @dataclass(frozen=True)
@@ -118,25 +122,49 @@ def _count_inversions(ranks, n_ranks: int) -> int:
     """Strict inversions (i < j with ranks[i] > ranks[j]) of integer ranks
     in [0, n_ranks), exactly.
 
-    A bottom-up merge: the array is padded to a power of two with the rank
-    n_ranks, above every real one (at the end, so the pad adds no strict
-    inversion), and each level counts, for every element of a right half,
-    the elements of its sorted left half that exceed it, with one global
-    `searchsorted` (a per-block offset keeps the blocks apart), then sorts
-    each merged block.
+    The array is padded to a power of two with the rank n_ranks, above
+    every real one (at the end, so the pad adds no strict inversion), and
+    cut into blocks of `_BLOCK`.  One broadcast comparison counts the
+    pairs inside each block.  The pairs across blocks come from the
+    (block, rank) table of points while it has at most `_CELLS_PER_POINT`
+    cells per point: a prefix cumsum over ranks, then over blocks, gives
+    the points in earlier blocks at or below each rank, and every point
+    of block k has k * _BLOCK earlier points.  A larger table gives way
+    to a bottom-up merge from sorted blocks: each level counts, for every
+    element of a right half, the elements of its sorted left half that
+    exceed it, with one global `searchsorted` (a per-block offset keeps
+    the blocks apart), then sorts each merged block.
     """
     n = len(ranks)
     if n < 2:
         return 0
     size = 1 << (n - 1).bit_length()
-    a = np.full(size, n_ranks, dtype=np.int64)
+    w = min(_BLOCK, size)
+    # the narrowest signed type that holds the pad: narrow blocks compare
+    # faster, and each sum below promotes to int64 with an int64 operand
+    a = np.full(size, n_ranks, dtype=np.min_scalar_type(-n_ranks - 1))
     a[:n] = ranks
-    total = 0
-    w = 1
+    blocks = a.reshape(-1, w)
+    n_blocks = blocks.shape[0]
+    total = int(np.count_nonzero(
+        (blocks[:, :, None] > blocks[:, None, :]) & _UPPER[:w, :w]))
+    width = n_ranks + 1
+    if n_blocks * width <= _CELLS_PER_POINT * n:
+        key = blocks + np.arange(0, n_blocks * width, width,
+                                 dtype=np.int64)[:, None]
+        # at_most[k, r]: points in blocks k' <= k with rank <= r
+        at_most = np.bincount(key.ravel(), minlength=n_blocks * width)
+        at_most = at_most.reshape(n_blocks, width)
+        np.cumsum(at_most, axis=1, out=at_most)
+        np.cumsum(at_most, axis=0, out=at_most)
+        earlier = at_most.ravel()[key[1:] - width]
+        return (total + w * w * n_blocks * (n_blocks - 1) // 2
+                - int(np.sum(earlier, dtype=np.int64)))
+    a = np.sort(blocks, axis=1).ravel()
     while w < size:
         blocks = a.reshape(-1, 2 * w)
         b = np.arange(blocks.shape[0], dtype=np.int64)[:, None]
-        keyed = blocks + b * (n_ranks + 1)
+        keyed = blocks + b * width
         pos = np.searchsorted(keyed[:, :w].ravel(), keyed[:, w:],
                               side="right")
         total += int(np.sum((b + 1) * w - pos, dtype=np.int64))

@@ -2,11 +2,12 @@
 series.
 
 A sentence ends at every '.', '!' or '?'; a run of them is a single
-boundary.  Abbreviation periods are deliberately not special-cased.
-Within a sentence, whitespace separates pieces, and a piece is a word
-when something is left after stripping its leading and trailing
-non-alphanumerics.  The text is NFC-normalized first, so the same text
-gives the same counts in any Unicode normal form.
+boundary.  Segmentation is one `str.split` at '.', after '!' and '?'
+are translated to '.'.  Abbreviation periods are deliberately not
+special-cased.  Within a sentence, whitespace separates pieces, and a
+piece is a word when something is left after stripping its leading and
+trailing non-alphanumerics.  The text is NFC-normalized first, so the
+same text gives the same counts in any Unicode normal form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .exceptions import IngestionError
 
-_BOUNDARY_RE = re.compile(r"[.!?]+")
+# every terminator becomes '.', so one str.split cuts at all of them
+_TO_PERIOD = str.maketrans("!?", "..")
 # alphanumeric, underscore excluded
 _WORD_CHAR_RE = re.compile(r"[^\W_]", re.UNICODE)
 _EDGE_STRIP_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
@@ -131,7 +133,7 @@ def default_lemma_lexicon() -> LemmaLexicon:
 def segment_sentences(text: str) -> list[str]:
     """Split text at every terminator character, dropping segments that
     contain no word characters (so "?!" or "..." yield one boundary)."""
-    segments = _BOUNDARY_RE.split(text)
+    segments = text.translate(_TO_PERIOD).split(".")
     return [seg for seg in segments if _WORD_CHAR_RE.search(seg)]
 
 

@@ -340,13 +340,30 @@ class TestConcordancePaths:
         rng = np.random.default_rng(21)
         x, y = rng.normal(size=n), rng.normal(size=n)
         expected = concordance_counts(x, y)
+        self._assert_peak_below(400 * n, x, y, expected)
+
+    def test_block_table_peak_memory_is_linear_in_n(self):
+        # 3000 x 90 value pairs exceed the cell budget, so the count goes
+        # through _count_inversions, whose 128 x 91 block table fits it
+        n = 3000
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=n)
+        y = rng.integers(0, 90, size=n).astype(float)
+        expected = brute_pair_counts(x, y)
+        with mock.patch.object(np, "searchsorted",
+                               side_effect=AssertionError("merged")):
+            assert concordance_counts(x, y) == expected
+        self._assert_peak_below(400 * n, x, y, expected)
+
+    @staticmethod
+    def _assert_peak_below(limit, x, y, expected):
         tracemalloc.start()
         try:
             assert concordance_counts(x, y) == expected
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 400 * n
+        assert peak < limit
 
 
 class TestLinearMap:
@@ -431,6 +448,42 @@ class TestCountInversions:
         n = 15000
         assert _count_inversions(*_dense(np.arange(n, 0, -1))) == \
             n * (n - 1) // 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_table_and_merge_match_enumeration(self, data):
+        n = data.draw(st.one_of(
+            st.sampled_from([1, 2, 31, 32, 33, 63, 64, 65, 1025]),
+            st.integers(0, 300)), label="n")
+        n_ranks = data.draw(st.one_of(
+            st.integers(1, 2 * n + 2),
+            st.sampled_from([1, 2, 127, 128, 129, 32767, 32768])),
+            label="n_ranks")
+        shape = data.draw(st.sampled_from(
+            ["random", "equal", "sorted", "reversed"]), label="shape")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ranks = rng.integers(0, n_ranks, size=n)
+        if shape == "equal":
+            ranks[:] = ranks[:1]
+        elif shape != "random":
+            ranks.sort()
+            if shape == "reversed":
+                ranks = ranks[::-1]
+        expected = brute_inversions(ranks.tolist())
+        # budget 0 forces the merge across blocks, no budget the table
+        for budget in (0, 10**12):
+            with mock.patch.object(correlation, "_CELLS_PER_POINT", budget):
+                result = _count_inversions(ranks, n_ranks)
+            assert type(result) is int
+            assert result == expected
+
+    @pytest.mark.parametrize("ranks, n_ranks, expected", [
+        ([126, 0, 127, 3], 128, 3),        # the pad needs int16
+        ([32767, 0, 1], 32768, 2),         # the pad needs int32
+        ([2**31 - 1, 0, 2**31 - 1, 5], 2**31, 3),   # the pad needs int64
+    ])
+    def test_pad_rank_past_a_narrow_type(self, ranks, n_ranks, expected):
+        assert _count_inversions(np.array(ranks), n_ranks) == expected
 
     def test_reads_the_given_ranks_without_ranking_again(self, monkeypatch):
         def no_unique(*args, **kwargs):

@@ -20,7 +20,11 @@ from sentlen import (
     sentence_tokens,
     tokenize,
 )
-from sentlen.textpipe import document_from_text, sentence_lengths
+from sentlen.textpipe import (
+    _WORD_CHAR_RE,
+    document_from_text,
+    sentence_lengths,
+)
 
 
 class TestSegmentation:
@@ -313,6 +317,28 @@ class TestResourceLoading:
 def test_terminator_runs_segment_like_one_period(text):
     collapsed = re.sub(r"[.!?]+", ".", text)
     assert segment_sentences(collapsed) == segment_sentences(text)
+
+
+def regex_segments(text: str) -> list[str]:
+    """The regex segmentation `segment_sentences` replaced: split at each
+    run of terminators, keep the segments that have a word character."""
+    return [s for s in re.split(r"[.!?]+", text) if _WORD_CHAR_RE.search(s)]
+
+
+# fullwidth terminators, the ellipsis character, the underscore and
+# combining marks are not terminators and not word characters
+_LOOKALIKES = "！？…_\u0301\u0308\u20dd"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=st.one_of(
+    _TEXTS,
+    st.text(alphabet="ab .!?" + _LOOKALIKES + "\n", max_size=60),
+    st.lists(st.one_of(_PIECES, st.sampled_from(
+        ["！", "？", "…", "wait…", "no！", "_", "a\u0308", "\u20dd.", "?!"])),
+        max_size=40).map(" ".join)))
+def test_split_matches_the_regex_split(text):
+    assert segment_sentences(text) == regex_segments(text)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
