@@ -28,7 +28,8 @@ _LN_GAMMA_HALF = 0.5 * math.log(math.pi)
 _SLOTS_PER_VALUE = 4
 # concordance_counts fills a kx x ky table of value pairs, and
 # _count_inversions a (block, rank) table, while it has at most this many
-# cells per point; larger tables lose to the merge
+# cells per point; larger tables lose to the merge.  Timed apart, both
+# tables cross over with their merge at 24-48 and 28-32 cells per point
 _CELLS_PER_POINT = 32
 # _count_inversions compares the points inside blocks of this many at once
 _BLOCK = 32

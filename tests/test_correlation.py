@@ -342,13 +342,18 @@ class TestConcordancePaths:
         expected = concordance_counts(x, y)
         self._assert_peak_below(400 * n, x, y, expected)
 
-    def test_block_table_peak_memory_is_linear_in_n(self):
-        # 3000 x 90 value pairs exceed the cell budget, so the count goes
-        # through _count_inversions, whose 128 x 91 block table fits it
-        n = 3000
+    @pytest.mark.parametrize("n, ky", [
+        (3000, 90),     # a 128 x 91 block table, far inside the budget
+        # the most padding, and 128 x 512 = 65 536 cells, one rank short of
+        # the budget of 32 x 2049 = 65 568
+        (2049, 511),
+    ])
+    def test_block_table_peak_memory_is_linear_in_n(self, n, ky):
+        # n x ky value pairs exceed the cell budget, so the count goes
+        # through _count_inversions, whose block table fits it
         rng = np.random.default_rng(22)
         x = rng.normal(size=n)
-        y = rng.integers(0, 90, size=n).astype(float)
+        y = rng.permutation(np.arange(n) % ky).astype(float)
         expected = brute_pair_counts(x, y)
         with mock.patch.object(np, "searchsorted",
                                side_effect=AssertionError("merged")):
