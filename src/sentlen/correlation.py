@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,17 +61,41 @@ class RankTestResult:
         return self.p_value < self.null_rejected_at
 
 
-def _validate_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
+@dataclass(frozen=True, eq=False)
+class RankTable:
+    """One series' ranks, read-only: the dense rank of each value (0 for
+    the smallest), the multiplicity of each distinct value, and the
+    1-based midranks.  Every rank statistic takes one in place of the
+    array it was built from, and ranks an array itself."""
+    dense: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    midranks: np.ndarray = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return self.dense.size
+
+
+def _validate(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
         raise ValueError("inputs must be one-dimensional")
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not np.isfinite(values).all():
         raise ValueError("inputs must be finite")
-    if x.size < 2:
-        raise DegenerateInputError(f"need at least 2 points, got {x.size}")
+    return values
+
+
+def _check_pair(n_x: int, n_y: int, min_size: int = 2) -> None:
+    if n_x != n_y:
+        raise ValueError(f"length mismatch: {n_x} vs {n_y}")
+    if n_x < min_size:
+        raise DegenerateInputError(
+            f"need at least {min_size} points, got {n_x}")
+
+
+def _validate_pair(x, y):
+    x, y = _validate(x), _validate(y)
+    _check_pair(x.size, y.size)
     return x, y
 
 
@@ -107,6 +131,24 @@ def _ties(values) -> tuple[np.ndarray, np.ndarray]:
     _, dense, counts = np.unique(values, return_inverse=True,
                                  return_counts=True)
     return dense, counts
+
+
+def rank_table(values) -> RankTable:
+    """The rank table of a finite one-dimensional series."""
+    dense, counts = _ties(_validate(values))
+    table = RankTable(dense, counts, _midranks(dense, counts))
+    for arr in (dense, counts, table.midranks):
+        arr.setflags(write=False)
+    return table
+
+
+def _rank_pair(x, y, min_size: int = 2) -> tuple[RankTable, RankTable]:
+    """Rank tables of x and y, each ranked here unless it is one, checked
+    to be of one length and at least `min_size` points."""
+    rx, ry = (v if isinstance(v, RankTable) else rank_table(v)
+              for v in (x, y))
+    _check_pair(rx.size, ry.size, min_size)
+    return rx, ry
 
 
 def _pairs(counts) -> int:
@@ -176,7 +218,8 @@ def _count_inversions(ranks, n_ranks: int) -> int:
 
 def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     """(C, D, n0, tx, ty): concordant and discordant pair counts plus
-    total pairs and pairs tied in x and in y.
+    total pairs and pairs tied in x and in y, from two arrays or their
+    rank tables.
 
     With dense ranks a of x (kx values) and b of y (ky), the pairs come
     from the kx x ky table N of points per (a, b) while it has at most
@@ -185,14 +228,14 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     prefix cumsum over columns), and the pairs tied in both are the pairs
     inside each cell.  A larger table gives way to Knight's count: sort
     one int64 key of (a, b) and count strict inversions of b, which skips
-    pairs tied in either coordinate.  Both are exact integers.
+    pairs tied in either coordinate; the pairs tied in both are the pairs
+    inside each run of equal keys.  Both are exact integers.
     """
-    rx, cx = _ties(np.asarray(x, dtype=float))
-    ry, cy = _ties(np.asarray(y, dtype=float))
+    rx, ry = _rank_pair(x, y, min_size=0)
     n = rx.size
     n0 = n * (n - 1) // 2
-    kx, ky = cx.size, cy.size
-    key = rx.astype(np.int64) * ky + ry
+    kx, ky = rx.counts.size, ry.counts.size
+    key = rx.dense.astype(np.int64) * ky + ry.dense
     if kx * ky <= _CELLS_PER_POINT * n:
         table = np.bincount(key, minlength=kx * ky).reshape(kx, ky)
         # later[a, b]: points in rows a' > a and columns b' <= b
@@ -203,16 +246,19 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     else:
         key.sort()
         d = _count_inversions(key % ky, ky)
-        txy = _pairs(_ties(key)[1])
-    tx, ty = _pairs(cx), _pairs(cy)
+        # the last index of every run of equal keys but the final one
+        ends = np.flatnonzero(key[1:] != key[:-1])
+        txy = _pairs(np.diff(ends, prepend=-1, append=n - 1))
+    tx, ty = _pairs(rx.counts), _pairs(ry.counts)
     c = n0 - tx - ty + txy - d
     return c, d, n0, tx, ty
 
 
-def _exact_rank_pvalues(x, y):
+def _exact_rank_pvalues(rx: RankTable, ry: RankTable):
     """Exact two-sided p-values for tau-b, gamma and rho by enumerating
-    every permutation of y (both validated).  Only feasible for small n."""
-    n = x.size
+    every permutation of y.  Only feasible for small n."""
+    n = rx.size
+    x, y = rx.dense, ry.dense
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     yp = y[perms]
     conc = np.zeros(perms.shape[0], dtype=np.int64)
@@ -227,18 +273,16 @@ def _exact_rank_pvalues(x, y):
             conc += prod > 0
             disc += prod < 0
     n0 = n * (n - 1) // 2
-    dx, cx = _ties(x)
-    dy, cy = _ties(y)
-    denom_tau = math.sqrt((n0 - _pairs(cx)) * (n0 - _pairs(cy)))
+    denom_tau = math.sqrt((n0 - _pairs(rx.counts)) * (n0 - _pairs(ry.counts)))
     taus = (conc - disc) / denom_tau
     cd = conc + disc
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(cd > 0, (conc - disc) / np.where(cd > 0, cd, 1), 0.0)
 
-    rx = _midranks(dx, cx) - (n + 1) / 2
-    ry = _midranks(dy, cy) - (n + 1) / 2
-    norm = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
-    rhos = (ry[perms] @ rx) / norm
+    mx = rx.midranks - (n + 1) / 2
+    my = ry.midranks - (n + 1) / 2
+    norm = math.sqrt(float(np.dot(mx, mx)) * float(np.dot(my, my)))
+    rhos = (my[perms] @ mx) / norm
 
     def pval(stats):
         obs = stats[0]  # identity permutation comes first
@@ -316,18 +360,18 @@ def _t_two_sided_p(t: float, df: int) -> float:
     return 1.0 - math.exp(ln_front) / _beta_cf(0.5, a, y, x)  # 1 - I_y(b, a)
 
 
-def _tau_normal_pvalue(c, d, x, y) -> float:
-    """Normal approximation with the tie-corrected variance of C - D."""
-    n = len(x)
+def _tau_normal_pvalue(c, d, n, x_counts, y_counts) -> float:
+    """Normal approximation with the tie-corrected variance of C - D; the
+    tie sums come from the multiplicities of x and y."""
 
-    def tie_sums(arr):
-        t = _ties(arr)[1].astype(np.int64)
-        return (int(np.sum(t * (t - 1) * (2 * t + 5))),
-                int(np.sum(t * (t - 1))),
-                int(np.sum(t * (t - 1) * (t - 2))))
+    def tie_sums(t):
+        t = t.astype(np.int64)
+        pairs2 = t * (t - 1)
+        return (int(pairs2 @ (2 * t + 5)), int(pairs2.sum()),
+                int(pairs2 @ (t - 2)))
 
-    vt, t1, t2 = tie_sums(x)
-    vu, u1, u2 = tie_sums(y)
+    vt, t1, t2 = tie_sums(x_counts)
+    vu, u1, u2 = tie_sums(y_counts)
     v0 = n * (n - 1) * (2 * n + 5)
     var = (v0 - vt - vu) / 18.0
     var += t1 * u1 / (2.0 * n * (n - 1))
@@ -340,29 +384,31 @@ def _tau_normal_pvalue(c, d, x, y) -> float:
 
 
 def kendall_tau(x, y, threshold: float = 0.01) -> RankTestResult:
-    """Tie-corrected Kendall tau-b with two-sided p-value."""
-    x, y = _validate_pair(x, y)
-    c, d, n0, tx, ty = concordance_counts(x, y)
+    """Tie-corrected Kendall tau-b with two-sided p-value, from two arrays
+    or their rank tables."""
+    rx, ry = _rank_pair(x, y)
+    c, d, n0, tx, ty = concordance_counts(rx, ry)
     if tx == n0 or ty == n0:
         raise DegenerateInputError("all-tied input to kendall_tau")
     tau = (c - d) / math.sqrt((n0 - tx) * (n0 - ty))
-    if x.size < EXACT_PVALUE_BELOW_N:
-        p, _, _ = _exact_rank_pvalues(x, y)
+    if rx.size < EXACT_PVALUE_BELOW_N:
+        p, _, _ = _exact_rank_pvalues(rx, ry)
     else:
-        p = _tau_normal_pvalue(c, d, x, y)
+        p = _tau_normal_pvalue(c, d, rx.size, rx.counts, ry.counts)
     return RankTestResult(statistic=tau, p_value=p, null_rejected_at=threshold)
 
 
 def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
-    """gamma = (C - D) / (C + D), ties excluded from both counts."""
-    x, y = _validate_pair(x, y)
-    c, d, _, _, _ = concordance_counts(x, y)
+    """gamma = (C - D) / (C + D), ties excluded from both counts; from two
+    arrays or their rank tables."""
+    rx, ry = _rank_pair(x, y)
+    c, d, _, _, _ = concordance_counts(rx, ry)
     if c + d == 0:
         raise DegenerateInputError("all pairs tied: gamma undefined")
     gamma = (c - d) / (c + d)
-    n = x.size
+    n = rx.size
     if n < EXACT_PVALUE_BELOW_N:
-        _, p, _ = _exact_rank_pvalues(x, y)
+        _, p, _ = _exact_rank_pvalues(rx, ry)
     elif abs(gamma) >= 1.0:
         p = 0.0
     else:
@@ -374,12 +420,13 @@ def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
 
 def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
     """Pearson correlation of mid-ranks; p-value from the t
-    approximation with n - 2 degrees of freedom."""
-    x, y = _validate_pair(x, y)
-    rho = pearson(_midranks(*_ties(x)), _midranks(*_ties(y))).r
-    n = x.size
+    approximation with n - 2 degrees of freedom.  Takes two arrays or
+    their rank tables."""
+    rx, ry = _rank_pair(x, y)
+    rho = pearson(rx.midranks, ry.midranks).r
+    n = rx.size
     if n < EXACT_PVALUE_BELOW_N:
-        _, _, p = _exact_rank_pvalues(x, y)
+        _, _, p = _exact_rank_pvalues(rx, ry)
     elif abs(rho) >= 1.0:
         p = 0.0
     else:

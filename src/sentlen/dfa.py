@@ -143,24 +143,50 @@ def dfa_curve(series, config: DfaConfig) -> FluctuationCurve:
     return FluctuationCurve(np.array(ws), np.array(fluctuations))
 
 
+def _slope_weights(log_m) -> np.ndarray:
+    """w with w . log F the least-squares slope of log F against log m."""
+    centered = log_m - log_m.mean()
+    return centered / np.dot(centered, centered)
+
+
+@lru_cache(maxsize=64)
+def _grid_fit(window_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """log m over a window grid and its slope weights, both read-only."""
+    log_m = np.log(np.array(window_sizes, dtype=float))
+    weights = _slope_weights(log_m)
+    log_m.setflags(write=False)
+    weights.setflags(write=False)
+    return log_m, weights
+
+
 def estimate_hurst(curve: FluctuationCurve) -> HurstEstimate:
-    """Least-squares fit of log F against log m over the positive points."""
+    """Least-squares fit of log F against log m over the positive points:
+    the slope is one dot product with weights cached per window grid; a
+    curve with a point at zero weighs the points it keeps."""
     m = curve.window_sizes
     f = curve.fluctuations
     mask = f > 0
-    if int(mask.sum()) < MIN_FIT_POINTS:
+    if np.count_nonzero(mask) < MIN_FIT_POINTS:
         raise DegenerateInputError(
             f"undefined exponent: fewer than {MIN_FIT_POINTS} positive "
             "fluctuation points"
         )
-    lm = np.log(m[mask])
-    lf = np.log(f[mask])
-    slope, intercept = np.polyfit(lm, lf, 1)
-    fitted = slope * lm + intercept
-    ss_res = float(np.sum((lf - fitted) ** 2))
-    ss_tot = float(np.sum((lf - lf.mean()) ** 2))
+    if mask.all():
+        lm, weights = _grid_fit(tuple(m.tolist()))
+        lf = np.log(f)
+    else:
+        lm = np.log(m[mask])
+        weights = _slope_weights(lm)
+        lf = np.log(f[mask])
+    slope = float(np.dot(weights, lf))
+    lf_mean = lf.mean()
+    intercept = float(lf_mean - slope * lm.mean())
+    resid = lf - (slope * lm + intercept)
+    ss_res = float(np.dot(resid, resid))
+    deviation = lf - lf_mean
+    ss_tot = float(np.dot(deviation, deviation))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return HurstEstimate(h=float(slope), intercept=float(intercept), fit_r2=r2)
+    return HurstEstimate(h=slope, intercept=intercept, fit_r2=r2)
 
 
 def hurst_of_series(series, config: DfaConfig) -> HurstEstimate:

@@ -156,19 +156,23 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
         max_fraction=config.dfa_max_fraction, num=config.dfa_points)
     series = extract_all(doc)
     values = [s.values.astype(float) for s in series]
-    # each normalized once, on first use, so that an all-zero series still
-    # fails in pearson first
+    # each ranked once for the rank tests; ranking a constant series raises
+    # nothing, so an all-zero series still fails in pearson first
+    ranks = [correlation.rank_table(v) for v in values]
+    # each normalized once, on first use, for the same reason
     normalized = cache(lambda k: distribution.mean_normalize(values[k]))
 
     comparisons = []
     for i, j in PAIR_INDICES:
         x, y = values[i], values[j]
+        rx, ry = ranks[i], ranks[j]
         comparisons.append(ComparisonResult(
             pair=(CANONICAL_ORDER[i], CANONICAL_ORDER[j]),
             pearson=correlation.pearson(x, y),
-            spearman=correlation.spearman(x, y, config.p_threshold),
-            kendall=correlation.kendall_tau(x, y, config.p_threshold),
-            gamma=correlation.goodman_kruskal_gamma(x, y, config.p_threshold),
+            spearman=correlation.spearman(rx, ry, config.p_threshold),
+            kendall=correlation.kendall_tau(rx, ry, config.p_threshold),
+            gamma=correlation.goodman_kruskal_gamma(rx, ry,
+                                                    config.p_threshold),
             ks_plain=distribution.ks_two_sample(
                 normalized(i), normalized(j), config.p_threshold),
             ks_mapped=distribution.ks_after_linear_map(x, y, config.p_threshold),

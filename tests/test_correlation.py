@@ -26,6 +26,7 @@ from sentlen.correlation import (
     goodman_kruskal_gamma,
     kendall_tau,
     pearson,
+    rank_table,
     spearman,
 )
 from sentlen.distribution import ks_two_sample, mean_normalize
@@ -595,6 +596,63 @@ class TestRankTable:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env).stdout
         assert out.strip() == "[]"
+
+
+def _outcome(fn, x, y):
+    """fn(x, y), or the type and message of what it raised."""
+    try:
+        return fn(x, y)
+    except (ValueError, DegenerateInputError) as exc:
+        return type(exc), str(exc)
+
+
+_RANKED_FNS = (spearman, kendall_tau, goodman_kruskal_gamma,
+               concordance_counts)
+
+
+class TestRankTableArguments:
+    """Every rank statistic gives the same result from rank tables as from
+    the arrays they were built from."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=st.one_of(
+        # non-negative integers: the bincount path, ties in both
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)),
+                 min_size=10, max_size=60),
+        # negatives and fractions: the np.unique path
+        st.lists(st.tuples(
+            st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0, 1e300]),
+            st.one_of(st.sampled_from([-7.5, 0.25, 0.0]),
+                      st.floats(-1e6, 1e6))),
+            min_size=10, max_size=60),
+        # below n = 10: exact p-values, over all n! orders of y
+        st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 2.0, 2.5]),
+                           st.integers(0, 3)), min_size=2, max_size=7)))
+    def test_table_equals_array(self, pairs):
+        x, y = (np.asarray(v, dtype=float) for v in zip(*pairs))
+        rx, ry = rank_table(x), rank_table(y)
+        for budget in (0, correlation._CELLS_PER_POINT):
+            # a budget of 0 sends every concordance count through Knight's
+            with mock.patch.object(correlation, "_CELLS_PER_POINT", budget):
+                for fn in _RANKED_FNS:
+                    expected = _outcome(fn, x, y)
+                    assert _outcome(fn, rx, ry) == expected
+                    assert _outcome(fn, rx, y) == expected
+                    assert _outcome(fn, x, ry) == expected
+
+    def test_table_is_read_only(self):
+        table = rank_table([3.0, 1.0, 3.0, 2.0])
+        assert table.dense.tolist() == [2, 0, 2, 1]
+        assert table.counts.tolist() == [1, 1, 2]
+        assert table.midranks.tolist() == [3.5, 1.0, 3.5, 2.0]
+        for arr in (table.dense, table.counts, table.midranks):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_tables_of_two_lengths_rejected(self):
+        for fn in _RANKED_FNS:
+            with pytest.raises(ValueError, match="length mismatch"):
+                fn(rank_table(np.arange(12.0)), rank_table(np.arange(11.0)))
 
 
 def _scipy_t_pvalue(df, t):

@@ -279,6 +279,48 @@ class TestHurstEstimate:
         assert est.h == pytest.approx(0.5, abs=1e-9)
         assert est.intercept == pytest.approx(math.log(2), abs=1e-9)
 
+    @staticmethod
+    def _polyfit_estimate(curve):
+        """(slope, intercept, r2) of the fit through `np.polyfit`."""
+        mask = curve.fluctuations > 0
+        lm = np.log(curve.window_sizes[mask])
+        lf = np.log(curve.fluctuations[mask])
+        slope, intercept = np.polyfit(lm, lf, 1)
+        ss_res = np.sum((lf - (slope * lm + intercept)) ** 2)
+        return slope, intercept, 1.0 - ss_res / np.sum((lf - lf.mean()) ** 2)
+
+    @pytest.mark.parametrize("n, num", [(300, 16), (2000, 16), (15000, 16),
+                                        (300, 5), (5000, 40)])
+    @pytest.mark.parametrize("zero_at", [None, 0, 2, -1])
+    def test_matches_polyfit(self, n, num, zero_at):
+        rng = np.random.default_rng(n + num)
+        curve = dfa_curve(rng.gamma(2.0, 5.0, size=n),
+                          default_config(n, num=num))
+        if zero_at is not None:
+            # a curve with a point at zero fits the points it keeps
+            f = curve.fluctuations.copy()
+            f[zero_at] = 0.0
+            curve = FluctuationCurve(curve.window_sizes, f)
+        est = estimate_hurst(curve)
+        slope, intercept, r2 = self._polyfit_estimate(curve)
+        assert est.h == pytest.approx(slope, rel=1e-12, abs=0)
+        assert est.intercept == pytest.approx(intercept, rel=1e-12, abs=0)
+        assert est.fit_r2 == pytest.approx(r2, rel=1e-12, abs=0)
+
+    def test_grid_weights_cached_read_only(self):
+        cfg = default_config(3000)
+        curve = dfa_curve(np.random.default_rng(8).normal(size=3000), cfg)
+        estimate_hurst(curve)
+        hits = dfa._grid_fit.cache_info().hits
+        estimate_hurst(curve)
+        assert dfa._grid_fit.cache_info().hits == hits + 1
+        log_m, weights = dfa._grid_fit(cfg.window_sizes)
+        for arr in (log_m, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert np.array_equal(log_m, np.log(cfg.window_sizes))
+
     def test_degenerate_all_zero_curve(self):
         curve = FluctuationCurve(np.array([8, 16, 32, 64]), np.zeros(4))
         with pytest.raises(DegenerateInputError):

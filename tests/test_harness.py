@@ -100,15 +100,41 @@ class TestAnalyzeBook:
             checks.append(config)
             post_init(config)
 
+        ranked = []
+        ties = correlation._ties
+
+        def record_ties(values):
+            ranked.append(values)
+            return ties(values)
+
+        def no_polyfit(*args, **kwargs):
+            raise AssertionError("np.polyfit ran")
+
         monkeypatch.setattr(distribution, "mean_normalize", record_normalize)
         monkeypatch.setattr(dfa, "hurst_of_series", record_hurst)
         monkeypatch.setattr(dfa.DfaConfig, "__post_init__", record_check)
+        monkeypatch.setattr(correlation, "_ties", record_ties)
+        monkeypatch.setattr(np, "polyfit", no_polyfit)
         assert isinstance(analyze_book(path, AnalysisConfig()), BookReport)
         assert len(normalized) == 6 and len(checks) == 1
         # the DFA reads the very float rows the comparisons normalized
         rows = [id(s) for s in normalized]
         assert [id(s) for s in dfa_inputs if id(s) in rows] == rows
         assert all(s.dtype == float for s in normalized)
+        # the 45 rank tests rank those rows once each, and nothing else
+        assert [id(s) for s in ranked] == rows
+
+    def test_stopword_only_book_skipped_by_pearson(self, tmp_path):
+        # its non-stopword series are all zero: ranking them raises nothing,
+        # and the first pair that reads one fails in pearson
+        rng = np.random.default_rng(3)
+        stops = ["the", "and", "of", "it", "was", "in", "to", "a"]
+        path = tmp_path / "stops.txt"
+        path.write_text(" ".join(
+            " ".join(rng.choice(stops, size=rng.integers(2, 12))) + "."
+            for _ in range(300)), encoding="utf-8")
+        assert harness._safe_analyze(path, AnalysisConfig()) == SkippedBook(
+            book_id="stops", reason="zero variance input to pearson")
 
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(IngestionError):
