@@ -13,6 +13,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +24,6 @@ EXACT_PVALUE_BELOW_N = 10
 _LN_DBL_MIN = math.log(sys.float_info.min)
 _LN_GAMMA_HALF = 0.5 * math.log(math.pi)
 
-# _ties counts values into bincount slots while the largest is at most this
-# many times the array's length; wider ranges sort with np.unique
-_SLOTS_PER_VALUE = 4
 # concordance_counts fills a kx x ky table of value pairs, and
 # _count_inversions a (block, rank) table, while it has at most this many
 # cells per point; larger tables lose to the merge.  Timed apart, both
@@ -114,20 +112,7 @@ def pearson(x, y) -> PearsonResult:
 
 def _ties(values) -> tuple[np.ndarray, np.ndarray]:
     """Dense ranks (0 for the smallest value) and the multiplicity of each
-    distinct value: the table every rank statistic reads its ties from.
-
-    Non-negative integral values up to the slot bound are counted with one
-    `np.bincount`; the range is checked before the cast, so no value is
-    cast that int64 cannot hold.
-    """
-    values = np.asarray(values)
-    if values.size and 0 <= values.min() and \
-            values.max() <= _SLOTS_PER_VALUE * values.size:
-        slots = values.astype(np.int64)
-        if np.array_equal(slots, values):
-            counts = np.bincount(slots)
-            present = counts > 0
-            return (np.cumsum(present) - 1)[slots], counts[present]
+    distinct value: the table every rank statistic reads its ties from."""
     _, dense, counts = np.unique(values, return_inverse=True,
                                  return_counts=True)
     return dense, counts
@@ -254,9 +239,12 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     return c, d, n0, tx, ty
 
 
+@lru_cache(maxsize=64)
 def _exact_rank_pvalues(rx: RankTable, ry: RankTable):
     """Exact two-sided p-values for tau-b, gamma and rho by enumerating
-    every permutation of y.  Only feasible for small n."""
+    every permutation of y.  Only feasible for small n.  Memoized on the
+    pair of tables (by identity, as they are read-only), so the three
+    tests of one pair of tables enumerate once."""
     n = rx.size
     x, y = rx.dense, ry.dense
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)

@@ -143,17 +143,13 @@ def dfa_curve(series, config: DfaConfig) -> FluctuationCurve:
     return FluctuationCurve(np.array(ws), np.array(fluctuations))
 
 
-def _slope_weights(log_m) -> np.ndarray:
-    """w with w . log F the least-squares slope of log F against log m."""
-    centered = log_m - log_m.mean()
-    return centered / np.dot(centered, centered)
-
-
 @lru_cache(maxsize=64)
 def _grid_fit(window_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """log m over a window grid and its slope weights, both read-only."""
+    """log m over a window grid and the weights w with w . log F the
+    least-squares slope of log F against log m, both read-only."""
     log_m = np.log(np.array(window_sizes, dtype=float))
-    weights = _slope_weights(log_m)
+    centered = log_m - log_m.mean()
+    weights = centered / np.dot(centered, centered)
     log_m.setflags(write=False)
     weights.setflags(write=False)
     return log_m, weights
@@ -161,8 +157,8 @@ def _grid_fit(window_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_hurst(curve: FluctuationCurve) -> HurstEstimate:
     """Least-squares fit of log F against log m over the positive points:
-    the slope is one dot product with weights cached per window grid; a
-    curve with a point at zero weighs the points it keeps."""
+    the slope is one dot product with weights cached per grid of the
+    window sizes it keeps."""
     m = curve.window_sizes
     f = curve.fluctuations
     mask = f > 0
@@ -171,13 +167,8 @@ def estimate_hurst(curve: FluctuationCurve) -> HurstEstimate:
             f"undefined exponent: fewer than {MIN_FIT_POINTS} positive "
             "fluctuation points"
         )
-    if mask.all():
-        lm, weights = _grid_fit(tuple(m.tolist()))
-        lf = np.log(f)
-    else:
-        lm = np.log(m[mask])
-        weights = _slope_weights(lm)
-        lf = np.log(f[mask])
+    lm, weights = _grid_fit(tuple(m[mask].tolist()))
+    lf = np.log(f[mask])
     slope = float(np.dot(weights, lf))
     lf_mean = lf.mean()
     intercept = float(lf_mean - slope * lm.mean())

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -166,6 +167,30 @@ class TestKendall:
         r = kendall_tau([1, 2, 3, 4, 5], [2, 4, 6, 8, 10])
         assert r.statistic == 1.0
         assert r.p_value == pytest.approx(2 / 120)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_exact_pvalues_enumerated_once_per_pair_of_tables(
+            self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        x, y = rng.integers(0, 4, size=n), rng.integers(0, 4, size=n)
+        x[:2], y[:2] = (0, 1), (0, 1)  # neither series all tied
+        permutations = itertools.permutations
+        enumerations = []
+
+        def spy(*args):
+            enumerations.append(args)
+            return permutations(*args)
+
+        rx, ry = rank_table(x), rank_table(y)
+        with monkeypatch.context() as patch:
+            patch.setattr(itertools, "permutations", spy)
+            got = (kendall_tau(rx, ry).p_value,
+                   goodman_kruskal_gamma(rx, ry).p_value,
+                   spearman(rx, ry).p_value)
+        assert len(enumerations) == 1
+        # the unmemoized enumeration, on freshly built tables
+        assert got == correlation._exact_rank_pvalues.__wrapped__(
+            rank_table(x), rank_table(y))
 
     def test_large_n_rejects_strong_association(self):
         rng = np.random.default_rng(8)
@@ -559,24 +584,6 @@ class TestRankTable:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 50])
-    @pytest.mark.parametrize("dtype", [float, np.int64])
-    def test_ties_either_side_of_the_slot_bound(self, n, dtype, monkeypatch):
-        bound = correlation._SLOTS_PER_VALUE * n
-        for top in (bound, bound + 1):
-            values = np.arange(n, dtype=dtype)[::-1].copy()
-            values[0] = top
-            expected = np.unique(values, return_inverse=True,
-                                 return_counts=True)[1:]
-            with monkeypatch.context() as patch:
-                if top == bound:
-                    patch.setattr(np, "unique", None)  # the bincount path
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    got = _ties(values)
-            for a, b in zip(got, expected):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-
     @pytest.mark.parametrize("n", [10, 11, 50, 3000])
     def test_spearman_pvalue_is_scipy_t_sf(self, n):
         rng = np.random.default_rng(n)
@@ -616,10 +623,10 @@ class TestRankTableArguments:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pairs=st.one_of(
-        # non-negative integers: the bincount path, ties in both
+        # small non-negative integers, ties in both
         st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)),
                  min_size=10, max_size=60),
-        # negatives and fractions: the np.unique path
+        # negatives, signed zeros and fractions
         st.lists(st.tuples(
             st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0, 1e300]),
             st.one_of(st.sampled_from([-7.5, 0.25, 0.0]),

@@ -321,6 +321,65 @@ class TestHurstEstimate:
                 arr[0] = 0.0
         assert np.array_equal(log_m, np.log(cfg.window_sizes))
 
+    @staticmethod
+    def _two_branch_estimate(curve):
+        """(slope, intercept, r2) by the fit's former formula: the grid's
+        weights for a curve with no zero point, and weights of its own for
+        the points a curve with a zero point keeps."""
+        m, f = curve.window_sizes, curve.fluctuations
+        mask = f > 0
+        if mask.all():
+            lm = np.log(np.array(tuple(m.tolist()), dtype=float))
+            lf = np.log(f)
+        else:
+            lm = np.log(m[mask])
+            lf = np.log(f[mask])
+        centered = lm - lm.mean()
+        weights = centered / np.dot(centered, centered)
+        slope = float(np.dot(weights, lf))
+        lf_mean = lf.mean()
+        intercept = float(lf_mean - slope * lm.mean())
+        resid = lf - (slope * lm + intercept)
+        ss_res = float(np.dot(resid, resid))
+        deviation = lf - lf_mean
+        ss_tot = float(np.dot(deviation, deviation))
+        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+        return slope, intercept, r2
+
+    @staticmethod
+    def _curve(n, num, zero_at):
+        rng = np.random.default_rng(n + num)
+        curve = dfa_curve(rng.gamma(2.0, 5.0, size=n),
+                          default_config(n, num=num))
+        if zero_at is None:
+            return curve
+        f = curve.fluctuations.copy()
+        f[{"first": 0, "middle": f.size // 2, "last": -1}[zero_at]] = 0.0
+        return FluctuationCurve(curve.window_sizes, f)
+
+    @pytest.mark.parametrize("n, num", [(300, 16), (2000, 16), (15000, 16),
+                                        (300, 5), (5000, 40)])
+    @pytest.mark.parametrize("zero_at", [None, "first", "middle", "last"])
+    def test_bits_equal_the_two_branch_fit(self, n, num, zero_at):
+        curve = self._curve(n, num, zero_at)
+        est = estimate_hurst(curve)
+        assert (est.h, est.intercept, est.fit_r2) == \
+            self._two_branch_estimate(curve)
+
+    def test_zero_point_weights_cached_read_only(self):
+        curve = self._curve(3000, 16, "middle")
+        estimate_hurst(curve)
+        hits = dfa._grid_fit.cache_info().hits
+        estimate_hurst(curve)
+        assert dfa._grid_fit.cache_info().hits == hits + 1
+        kept = curve.window_sizes[curve.fluctuations > 0]
+        log_m, weights = dfa._grid_fit(tuple(kept.tolist()))
+        for arr in (log_m, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert np.array_equal(log_m, np.log(kept))
+
     def test_degenerate_all_zero_curve(self):
         curve = FluctuationCurve(np.array([8, 16, 32, 64]), np.zeros(4))
         with pytest.raises(DegenerateInputError):
