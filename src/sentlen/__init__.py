@@ -7,7 +7,7 @@ Kolmogorov-Smirnov comparison, and detrended fluctuation analysis.
 """
 
 from .exceptions import ConfigError, DegenerateInputError, IngestionError, SentlenError
-from .series import CANONICAL_ORDER, LengthSeries, MeasureKind, extract_all
+from .series import CANONICAL_ORDER, MeasureKind, extract_all
 from .textpipe import (
     Document,
     LemmaLexicon,
@@ -28,7 +28,6 @@ __all__ = [
     "Document",
     "IngestionError",
     "LemmaLexicon",
-    "LengthSeries",
     "MeasureKind",
     "SentlenError",
     "StopwordList",

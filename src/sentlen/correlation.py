@@ -239,14 +239,22 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     return c, d, n0, tx, ty
 
 
-@lru_cache(maxsize=64)
 def _exact_rank_pvalues(rx: RankTable, ry: RankTable):
-    """Exact two-sided p-values for tau-b, gamma and rho by enumerating
-    every permutation of y.  Only feasible for small n.  Memoized on the
-    pair of tables (by identity, as they are read-only), so the three
-    tests of one pair of tables enumerate once."""
-    n = rx.size
-    x, y = rx.dense, ry.dense
+    """Exact two-sided p-values for tau-b, gamma and rho of two rank
+    tables, by enumerating every permutation of y.  Only feasible for
+    small n."""
+    return _enumerate_rank_pvalues(tuple(rx.dense.tolist()),
+                                   tuple(ry.dense.tolist()))
+
+
+@lru_cache(maxsize=64)
+def _enumerate_rank_pvalues(x_dense: tuple, y_dense: tuple):
+    """_exact_rank_pvalues from the two series' dense ranks, which fix
+    their multiplicities and midranks.  Memoized on those ranks, so the
+    three tests of one pair enumerate once, from tables or from arrays."""
+    n = len(x_dense)
+    x, y = np.array(x_dense), np.array(y_dense)
+    x_counts, y_counts = np.bincount(x), np.bincount(y)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     yp = y[perms]
     conc = np.zeros(perms.shape[0], dtype=np.int64)
@@ -261,14 +269,14 @@ def _exact_rank_pvalues(rx: RankTable, ry: RankTable):
             conc += prod > 0
             disc += prod < 0
     n0 = n * (n - 1) // 2
-    denom_tau = math.sqrt((n0 - _pairs(rx.counts)) * (n0 - _pairs(ry.counts)))
+    denom_tau = math.sqrt((n0 - _pairs(x_counts)) * (n0 - _pairs(y_counts)))
     taus = (conc - disc) / denom_tau
     cd = conc + disc
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(cd > 0, (conc - disc) / np.where(cd > 0, cd, 1), 0.0)
 
-    mx = rx.midranks - (n + 1) / 2
-    my = ry.midranks - (n + 1) / 2
+    mx = _midranks(x, x_counts) - (n + 1) / 2
+    my = _midranks(y, y_counts) - (n + 1) / 2
     norm = math.sqrt(float(np.dot(mx, mx)) * float(np.dot(my, my)))
     rhos = (my[perms] @ mx) / norm
 

@@ -154,8 +154,7 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
         doc.sentence_count, detrend_degree=config.dfa_degree,
         min_window=config.dfa_min_window,
         max_fraction=config.dfa_max_fraction, num=config.dfa_points)
-    series = extract_all(doc)
-    values = [s.values.astype(float) for s in series]
+    values = extract_all(doc)
     # each ranked once for the rank tests; ranking a constant series raises
     # nothing, so an all-zero series still fails in pearson first
     ranks = [correlation.rank_table(v) for v in values]
@@ -180,14 +179,14 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
         ))
 
     hurst = {}
-    for s, v in zip(series, values):
+    for kind, v in zip(CANONICAL_ORDER, values):
         est = dfa.hurst_of_series(v, dfa_config)
         h_star = float(np.mean([
             dfa.shuffled_hurst(v, dfa_config,
-                               _shuffle_seed(config, doc.id, s.kind, k))
+                               _shuffle_seed(config, doc.id, kind, k))
             for k in range(N_SHUFFLES)
         ]))
-        hurst[s.kind] = dataclasses.replace(est, h_shuffled=h_star)
+        hurst[kind] = dataclasses.replace(est, h_shuffled=h_star)
 
     hs = [hurst[k].h for k in CANONICAL_ORDER]
     max_delta = max(abs(hs[i] - hs[j]) for i, j in PAIR_INDICES)
@@ -363,7 +362,7 @@ def _book_record(rep: BookReport) -> dict:
         "hurst": {
             k.label: {name: _jnum(getattr(est, name))
                       for name in _HURST_FIELDS}
-            for k, est in sorted(rep.hurst.items(), key=lambda kv: kv[0].label)
+            for k, est in rep.hurst.items()
         },
         "max_abs_delta_h": _jnum(rep.max_abs_delta_h),
     }

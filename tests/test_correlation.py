@@ -168,9 +168,11 @@ class TestKendall:
         assert r.statistic == 1.0
         assert r.p_value == pytest.approx(2 / 120)
 
+    @pytest.mark.parametrize("as_tables", [True, False],
+                             ids=["tables", "arrays"])
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_exact_pvalues_enumerated_once_per_pair_of_tables(
-            self, n, monkeypatch):
+            self, n, as_tables, monkeypatch):
         rng = np.random.default_rng(n)
         x, y = rng.integers(0, 4, size=n), rng.integers(0, 4, size=n)
         x[:2], y[:2] = (0, 1), (0, 1)  # neither series all tied
@@ -181,16 +183,20 @@ class TestKendall:
             enumerations.append(args)
             return permutations(*args)
 
-        rx, ry = rank_table(x), rank_table(y)
+        # arrays are ranked afresh by each test, and must still share one
+        # enumeration
+        args = (rank_table(x), rank_table(y)) if as_tables else (x, y)
+        correlation._enumerate_rank_pvalues.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(itertools, "permutations", spy)
-            got = (kendall_tau(rx, ry).p_value,
-                   goodman_kruskal_gamma(rx, ry).p_value,
-                   spearman(rx, ry).p_value)
+            got = (kendall_tau(*args).p_value,
+                   goodman_kruskal_gamma(*args).p_value,
+                   spearman(*args).p_value)
         assert len(enumerations) == 1
         # the unmemoized enumeration, on freshly built tables
-        assert got == correlation._exact_rank_pvalues.__wrapped__(
-            rank_table(x), rank_table(y))
+        assert got == correlation._enumerate_rank_pvalues.__wrapped__(
+            tuple(rank_table(x).dense.tolist()),
+            tuple(rank_table(y).dense.tolist()))
 
     def test_large_n_rejects_strong_association(self):
         rng = np.random.default_rng(8)

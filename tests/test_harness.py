@@ -110,6 +110,14 @@ class TestAnalyzeBook:
         def no_polyfit(*args, **kwargs):
             raise AssertionError("np.polyfit ran")
 
+        extracted = []
+        extract_all = harness.extract_all
+
+        def record_extract(doc):
+            extracted.append(extract_all(doc))
+            return extracted[-1]
+
+        monkeypatch.setattr(harness, "extract_all", record_extract)
         monkeypatch.setattr(distribution, "mean_normalize", record_normalize)
         monkeypatch.setattr(dfa, "hurst_of_series", record_hurst)
         monkeypatch.setattr(dfa.DfaConfig, "__post_init__", record_check)
@@ -123,6 +131,9 @@ class TestAnalyzeBook:
         assert all(s.dtype == float for s in normalized)
         # the 45 rank tests rank those rows once each, and nothing else
         assert [id(s) for s in ranked] == rows
+        # and they are the rows of the book's one extract_all
+        assert len(extracted) == 1
+        assert [id(s) for s in extracted[0]] == rows
 
     def test_stopword_only_book_skipped_by_pearson(self, tmp_path):
         # its non-stopword series are all zero: ranking them raises nothing,
