@@ -35,28 +35,18 @@ _UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 
 
 @dataclass(frozen=True)
-class PearsonResult:
-    r: float
-
-
-@dataclass(frozen=True)
 class LinearMap:
     alpha: float
     beta: float
-
-    def apply(self, x):
-        return self.alpha * np.asarray(x, dtype=float) + self.beta
 
 
 @dataclass(frozen=True)
 class RankTestResult:
     statistic: float
     p_value: float
-    null_rejected_at: float
-
-    @property
-    def rejected(self) -> bool:
-        return self.p_value < self.null_rejected_at
+    #: p_value < threshold, a Python bool even for a numpy threshold, so
+    #: the JSON record writes true or false
+    rejected: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +87,7 @@ def _validate_pair(x, y):
     return x, y
 
 
-def pearson(x, y) -> PearsonResult:
+def pearson(x, y) -> float:
     """Sample Pearson correlation: covariance over the product of
     standard deviations (matching 1/N normalization on both sides)."""
     x, y = _validate_pair(x, y)
@@ -107,7 +97,7 @@ def pearson(x, y) -> PearsonResult:
     sy = math.sqrt(float(np.dot(dy, dy)))
     if sx == 0 or sy == 0:
         raise DegenerateInputError("zero variance input to pearson")
-    return PearsonResult(r=float(np.dot(dx, dy)) / (sx * sy))
+    return float(np.dot(dx, dy)) / (sx * sy)
 
 
 def _ties(values) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +381,8 @@ def kendall_tau(x, y, threshold: float = 0.01) -> RankTestResult:
         p, _, _ = _exact_rank_pvalues(rx, ry)
     else:
         p = _tau_normal_pvalue(c, d, rx.size, rx.counts, ry.counts)
-    return RankTestResult(statistic=tau, p_value=p, null_rejected_at=threshold)
+    return RankTestResult(statistic=tau, p_value=p,
+                          rejected=bool(p < threshold))
 
 
 def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
@@ -411,7 +402,7 @@ def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
         z = gamma * math.sqrt((c + d) / (n * (1.0 - gamma * gamma)))
         p = math.erfc(abs(z) / math.sqrt(2.0))
     return RankTestResult(statistic=float(gamma), p_value=p,
-                          null_rejected_at=threshold)
+                          rejected=bool(p < threshold))
 
 
 def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
@@ -419,7 +410,7 @@ def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
     approximation with n - 2 degrees of freedom.  Takes two arrays or
     their rank tables."""
     rx, ry = _rank_pair(x, y)
-    rho = pearson(rx.midranks, ry.midranks).r
+    rho = pearson(rx.midranks, ry.midranks)
     n = rx.size
     if n < EXACT_PVALUE_BELOW_N:
         _, _, p = _exact_rank_pvalues(rx, ry)
@@ -428,7 +419,8 @@ def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
     else:
         t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = _t_two_sided_p(t_stat, n - 2)
-    return RankTestResult(statistic=rho, p_value=p, null_rejected_at=threshold)
+    return RankTestResult(statistic=rho, p_value=p,
+                          rejected=bool(p < threshold))
 
 
 def fit_linear_map(x, y) -> LinearMap:

@@ -77,12 +77,6 @@ def default_config(n: int, detrend_degree: int = 1,
 
 
 @dataclass(frozen=True)
-class FluctuationCurve:
-    window_sizes: np.ndarray
-    fluctuations: np.ndarray
-
-
-@dataclass(frozen=True)
 class HurstEstimate:
     h: float
     intercept: float
@@ -130,7 +124,8 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
     return math.sqrt(windows.sum() / windows.size)
 
 
-def dfa_curve(series, config: DfaConfig) -> FluctuationCurve:
+def dfa_curve(series, config: DfaConfig) -> np.ndarray:
+    """F(m) at each of the config's window sizes, in order."""
     series = np.asarray(series, dtype=float)
     ws = config.window_sizes
     if series.size < 4 * ws[-1]:
@@ -139,8 +134,8 @@ def dfa_curve(series, config: DfaConfig) -> FluctuationCurve:
             f"{ws[-1]} (need >= {4 * ws[-1]})"
         )
     profile = integrate_profile(series)
-    fluctuations = [fluctuation(profile, m, config.detrend_degree) for m in ws]
-    return FluctuationCurve(np.array(ws), np.array(fluctuations))
+    return np.array([fluctuation(profile, m, config.detrend_degree)
+                     for m in ws])
 
 
 @lru_cache(maxsize=64)
@@ -155,12 +150,14 @@ def _grid_fit(window_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return log_m, weights
 
 
-def estimate_hurst(curve: FluctuationCurve) -> HurstEstimate:
+def estimate_hurst(window_sizes, fluctuations) -> HurstEstimate:
     """Least-squares fit of log F against log m over the positive points:
     the slope is one dot product with weights cached per grid of the
     window sizes it keeps."""
-    m = curve.window_sizes
-    f = curve.fluctuations
+    m = np.asarray(window_sizes)
+    f = np.asarray(fluctuations, dtype=float)
+    if m.shape != f.shape or m.ndim != 1:
+        raise ValueError("need one fluctuation per window size")
     mask = f > 0
     if np.count_nonzero(mask) < MIN_FIT_POINTS:
         raise DegenerateInputError(
@@ -181,7 +178,7 @@ def estimate_hurst(curve: FluctuationCurve) -> HurstEstimate:
 
 
 def hurst_of_series(series, config: DfaConfig) -> HurstEstimate:
-    return estimate_hurst(dfa_curve(series, config))
+    return estimate_hurst(config.window_sizes, dfa_curve(series, config))
 
 
 def shuffled_hurst(series, config: DfaConfig, seed: int) -> float:

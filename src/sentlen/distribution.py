@@ -16,6 +16,7 @@ from .exceptions import DegenerateInputError
 class KsResult:
     kappa: float
     p_value: float
+    #: p_value >= threshold, a Python bool like RankTestResult.rejected
     accepted: bool
 
 
@@ -82,7 +83,7 @@ def ks_two_sample(a, b, threshold: float = 0.01) -> KsResult:
     n_e = a.size * b.size / (a.size + b.size)
     lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * kappa
     p = kolmogorov_sf(lam)
-    return KsResult(kappa=kappa, p_value=p, accepted=p >= threshold)
+    return KsResult(kappa=kappa, p_value=p, accepted=bool(p >= threshold))
 
 
 def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult:
@@ -90,5 +91,5 @@ def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult
     KS-compare the mapped values against y.  No mean normalization: the
     map already aligns location and scale."""
     lm = fit_linear_map(x_series, y_series)
-    mapped = lm.apply(x_series)
+    mapped = lm.alpha * np.asarray(x_series, dtype=float) + lm.beta
     return ks_two_sample(mapped, np.asarray(y_series, dtype=float), threshold)

@@ -75,7 +75,7 @@ class AnalysisConfig:
 @dataclass(frozen=True)
 class ComparisonResult:
     pair: tuple[MeasureKind, MeasureKind]
-    pearson: correlation.PearsonResult
+    pearson: float
     spearman: correlation.RankTestResult
     kendall: correlation.RankTestResult
     gamma: correlation.RankTestResult
@@ -219,7 +219,7 @@ def hurst_length_correlation(reports) -> float:
         raise DegenerateInputError("need at least 3 books")
     counts = [r.sentence_count for r in reports]
     hs = [r.hurst[MeasureKind.WORDS].h for r in reports]
-    return correlation.pearson(counts, hs).r
+    return correlation.pearson(counts, hs)
 
 
 def _histogram(counts, bin_width):
@@ -229,7 +229,7 @@ def _histogram(counts, bin_width):
 
 def summarize(reports, skipped, config: AnalysisConfig) -> CorpusSummary:
     reports = sorted(reports, key=lambda r: r.book_id)
-    r_values = np.sort([c.pearson.r for rep in reports for c in rep.comparisons])
+    r_values = np.sort([c.pearson for rep in reports for c in rep.comparisons])
     kappa_values = np.sort([c.ks_plain.kappa for rep in reports
                             for c in rep.comparisons])
     delta_h = []
@@ -320,7 +320,7 @@ def _jnum(x):
 #: column or None).  The JSON record also holds "pair"; the CSV row starts
 #: with measure_x, measure_y.
 _COMPARISON_FIELDS = (
-    ("pearson.r", "pearson_r", "pearson_r"),
+    ("pearson", "pearson_r", "pearson_r"),
     ("spearman.statistic", "spearman.statistic", "spearman_rho"),
     ("spearman.p_value", "spearman.p_value", "spearman_p"),
     ("spearman.rejected", "spearman.rejected", None),

@@ -93,13 +93,13 @@ def brute_inversions(values) -> int:
 class TestPearson:
     def test_identical_series(self):
         x = [1.0, 4.0, 2.0, 7.0]
-        assert pearson(x, x).r == pytest.approx(1.0, abs=1e-15)
+        assert pearson(x, x) == pytest.approx(1.0, abs=1e-15)
 
     def test_reversed(self):
-        assert pearson([1, 2, 3], [3, 2, 1]).r == pytest.approx(-1.0, abs=1e-15)
+        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-15)
 
     def test_derived_value(self):
-        assert pearson([1, 2, 3, 4], [2, 4, 5, 4]).r == pytest.approx(
+        assert pearson([1, 2, 3, 4], [2, 4, 5, 4]) == pytest.approx(
             0.71823, abs=1e-4)
 
     def test_length_mismatch(self):
@@ -122,14 +122,14 @@ class TestPearson:
             x = rng.normal(size=30)
             a = rng.uniform(0.1, 5)
             b = rng.uniform(-10, 10)
-            assert pearson(x, a * x + b).r == pytest.approx(1.0, abs=1e-12)
-            assert pearson(x, -a * x + b).r == pytest.approx(-1.0, abs=1e-12)
+            assert pearson(x, a * x + b) == pytest.approx(1.0, abs=1e-12)
+            assert pearson(x, -a * x + b) == pytest.approx(-1.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=50)
         y = rng.normal(size=50)
-        assert pearson(x, y).r == pytest.approx(pearson(y, x).r, abs=1e-15)
+        assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-15)
 
 
 class TestKendall:
@@ -272,6 +272,25 @@ class TestSpearman:
         assert kendall_tau(np.exp(x), y).statistic == kendall_tau(x, y).statistic
         assert (goodman_kruskal_gamma(np.exp(x), y).statistic
                 == goodman_kruskal_gamma(x, y).statistic)
+
+
+class TestThreshold:
+    """Each rank test rejects exactly when its p-value is below the
+    threshold it is given: a pair of 14 points whose three p-values lie
+    strictly between 0 and 1."""
+    X = [28, 19, 20, 27, 17, 23, 25, 7, 2, 9, 9, 26, 27, 1]
+    Y = [27, 35, 1, 41, -3, 21, 40, -3, -6, -3, 19, 13, 51, -2]
+
+    @pytest.mark.parametrize("test", [spearman, kendall_tau,
+                                      goodman_kruskal_gamma])
+    def test_rejected_only_below_the_threshold(self, test):
+        p = test(self.X, self.Y).p_value
+        assert 0 < p < 1
+        at_p = test(self.X, self.Y, p)
+        above_p = test(self.X, self.Y, np.nextafter(p, 1))
+        assert at_p.p_value == above_p.p_value == p
+        assert not at_p.rejected
+        assert above_p.rejected
 
 
 class TestConcordanceCounts:

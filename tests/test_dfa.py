@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sentlen import dfa
 from sentlen.dfa import (
     DfaConfig,
-    FluctuationCurve,
     _detrend_basis,
     default_config,
     dfa_curve,
@@ -173,8 +172,8 @@ class TestProjection:
 class TestCurve:
     def test_constant_series_all_zero(self):
         cfg = default_config(400)
-        curve = dfa_curve(np.full(400, 5.0), cfg)
-        assert np.allclose(curve.fluctuations, 0.0, atol=1e-10)
+        f = dfa_curve(np.full(400, 5.0), cfg)
+        assert np.allclose(f, 0.0, atol=1e-10)
 
     def test_too_short_series(self):
         cfg = DfaConfig(window_sizes=(8, 16, 32, 64))
@@ -182,8 +181,7 @@ class TestCurve:
                 "series of length 255 too short for window 64 "
                 "(need >= 256)")):
             dfa_curve(np.random.default_rng(2).normal(size=255), cfg)
-        assert dfa_curve(np.arange(256.0), cfg).window_sizes.tolist() == [
-            8, 16, 32, 64]
+        assert dfa_curve(np.arange(256.0), cfg).shape == (4,)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"window_sizes": (8, 16), "detrend_degree": 0},
@@ -250,41 +248,36 @@ class TestCurve:
         cfg = default_config(1000)
         base = dfa_curve(series, cfg)
         scaled = dfa_curve(2.5 * series, cfg)
-        assert scaled.fluctuations == pytest.approx(
-            2.5 * base.fluctuations, rel=1e-9)
+        assert scaled == pytest.approx(2.5 * base, rel=1e-9)
         shifted = dfa_curve(series + 42.0, cfg)
-        assert shifted.fluctuations == pytest.approx(
-            base.fluctuations, rel=1e-9)
+        assert shifted == pytest.approx(base, rel=1e-9)
 
-        h0 = estimate_hurst(base).h
-        assert estimate_hurst(scaled).h == pytest.approx(h0, abs=1e-9)
-        assert estimate_hurst(scaled).intercept == pytest.approx(
-            estimate_hurst(base).intercept + math.log(2.5), abs=1e-9)
+        ms = cfg.window_sizes
+        h0 = estimate_hurst(ms, base).h
+        assert estimate_hurst(ms, scaled).h == pytest.approx(h0, abs=1e-9)
+        assert estimate_hurst(ms, scaled).intercept == pytest.approx(
+            estimate_hurst(ms, base).intercept + math.log(2.5), abs=1e-9)
 
 
 class TestHurstEstimate:
     def test_exact_power_law(self):
         ms = [8, 16, 32, 64, 128]
-        curve = FluctuationCurve(np.array(ms),
-                                 np.array([m ** 0.75 for m in ms]))
-        est = estimate_hurst(curve)
+        est = estimate_hurst(ms, [m ** 0.75 for m in ms])
         assert est.h == pytest.approx(0.75, abs=1e-9)
         assert est.fit_r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_power_law_with_prefactor(self):
         ms = [8, 16, 32, 64, 128]
-        curve = FluctuationCurve(np.array(ms),
-                                 np.array([2 * m ** 0.5 for m in ms]))
-        est = estimate_hurst(curve)
+        est = estimate_hurst(ms, [2 * m ** 0.5 for m in ms])
         assert est.h == pytest.approx(0.5, abs=1e-9)
         assert est.intercept == pytest.approx(math.log(2), abs=1e-9)
 
     @staticmethod
-    def _polyfit_estimate(curve):
+    def _polyfit_estimate(m, f):
         """(slope, intercept, r2) of the fit through `np.polyfit`."""
-        mask = curve.fluctuations > 0
-        lm = np.log(curve.window_sizes[mask])
-        lf = np.log(curve.fluctuations[mask])
+        mask = f > 0
+        lm = np.log(m[mask])
+        lf = np.log(f[mask])
         slope, intercept = np.polyfit(lm, lf, 1)
         ss_res = np.sum((lf - (slope * lm + intercept)) ** 2)
         return slope, intercept, 1.0 - ss_res / np.sum((lf - lf.mean()) ** 2)
@@ -294,25 +287,24 @@ class TestHurstEstimate:
     @pytest.mark.parametrize("zero_at", [None, 0, 2, -1])
     def test_matches_polyfit(self, n, num, zero_at):
         rng = np.random.default_rng(n + num)
-        curve = dfa_curve(rng.gamma(2.0, 5.0, size=n),
-                          default_config(n, num=num))
+        cfg = default_config(n, num=num)
+        m = np.array(cfg.window_sizes)
+        f = dfa_curve(rng.gamma(2.0, 5.0, size=n), cfg)
         if zero_at is not None:
             # a curve with a point at zero fits the points it keeps
-            f = curve.fluctuations.copy()
             f[zero_at] = 0.0
-            curve = FluctuationCurve(curve.window_sizes, f)
-        est = estimate_hurst(curve)
-        slope, intercept, r2 = self._polyfit_estimate(curve)
+        est = estimate_hurst(m, f)
+        slope, intercept, r2 = self._polyfit_estimate(m, f)
         assert est.h == pytest.approx(slope, rel=1e-12, abs=0)
         assert est.intercept == pytest.approx(intercept, rel=1e-12, abs=0)
         assert est.fit_r2 == pytest.approx(r2, rel=1e-12, abs=0)
 
     def test_grid_weights_cached_read_only(self):
         cfg = default_config(3000)
-        curve = dfa_curve(np.random.default_rng(8).normal(size=3000), cfg)
-        estimate_hurst(curve)
+        f = dfa_curve(np.random.default_rng(8).normal(size=3000), cfg)
+        estimate_hurst(cfg.window_sizes, f)
         hits = dfa._grid_fit.cache_info().hits
-        estimate_hurst(curve)
+        estimate_hurst(cfg.window_sizes, f)
         assert dfa._grid_fit.cache_info().hits == hits + 1
         log_m, weights = dfa._grid_fit(cfg.window_sizes)
         for arr in (log_m, weights):
@@ -322,11 +314,10 @@ class TestHurstEstimate:
         assert np.array_equal(log_m, np.log(cfg.window_sizes))
 
     @staticmethod
-    def _two_branch_estimate(curve):
+    def _two_branch_estimate(m, f):
         """(slope, intercept, r2) by the fit's former formula: the grid's
         weights for a curve with no zero point, and weights of its own for
         the points a curve with a zero point keeps."""
-        m, f = curve.window_sizes, curve.fluctuations
         mask = f > 0
         if mask.all():
             lm = np.log(np.array(tuple(m.tolist()), dtype=float))
@@ -348,31 +339,31 @@ class TestHurstEstimate:
 
     @staticmethod
     def _curve(n, num, zero_at):
+        """(window sizes, fluctuations) of a gamma series, with one point
+        set to zero unless `zero_at` is None."""
         rng = np.random.default_rng(n + num)
-        curve = dfa_curve(rng.gamma(2.0, 5.0, size=n),
-                          default_config(n, num=num))
-        if zero_at is None:
-            return curve
-        f = curve.fluctuations.copy()
-        f[{"first": 0, "middle": f.size // 2, "last": -1}[zero_at]] = 0.0
-        return FluctuationCurve(curve.window_sizes, f)
+        cfg = default_config(n, num=num)
+        f = dfa_curve(rng.gamma(2.0, 5.0, size=n), cfg)
+        if zero_at is not None:
+            f[{"first": 0, "middle": f.size // 2, "last": -1}[zero_at]] = 0.0
+        return np.array(cfg.window_sizes), f
 
     @pytest.mark.parametrize("n, num", [(300, 16), (2000, 16), (15000, 16),
                                         (300, 5), (5000, 40)])
     @pytest.mark.parametrize("zero_at", [None, "first", "middle", "last"])
     def test_bits_equal_the_two_branch_fit(self, n, num, zero_at):
-        curve = self._curve(n, num, zero_at)
-        est = estimate_hurst(curve)
+        m, f = self._curve(n, num, zero_at)
+        est = estimate_hurst(m, f)
         assert (est.h, est.intercept, est.fit_r2) == \
-            self._two_branch_estimate(curve)
+            self._two_branch_estimate(m, f)
 
     def test_zero_point_weights_cached_read_only(self):
-        curve = self._curve(3000, 16, "middle")
-        estimate_hurst(curve)
+        m, f = self._curve(3000, 16, "middle")
+        estimate_hurst(m, f)
         hits = dfa._grid_fit.cache_info().hits
-        estimate_hurst(curve)
+        estimate_hurst(m, f)
         assert dfa._grid_fit.cache_info().hits == hits + 1
-        kept = curve.window_sizes[curve.fluctuations > 0]
+        kept = m[f > 0]
         log_m, weights = dfa._grid_fit(tuple(kept.tolist()))
         for arr in (log_m, weights):
             assert not arr.flags.writeable
@@ -381,15 +372,22 @@ class TestHurstEstimate:
         assert np.array_equal(log_m, np.log(kept))
 
     def test_degenerate_all_zero_curve(self):
-        curve = FluctuationCurve(np.array([8, 16, 32, 64]), np.zeros(4))
         with pytest.raises(DegenerateInputError):
-            estimate_hurst(curve)
+            estimate_hurst(np.array([8, 16, 32, 64]), np.zeros(4))
 
     def test_insufficient_points(self):
-        curve = FluctuationCurve(np.array([8, 16, 32]),
-                                 np.array([1.0, 2.0, 3.0]))
         with pytest.raises(DegenerateInputError):
-            estimate_hurst(curve)
+            estimate_hurst(np.array([8, 16, 32]), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("m, f", [
+        ([8, 16, 32, 64], [1.0, 2.0, 3.0]),
+        ([8, 16, 32], [1.0, 2.0, 3.0, 4.0]),
+        ([[8, 16, 32, 64]], [[1.0, 2.0, 3.0, 4.0]]),
+    ])
+    def test_one_fluctuation_per_window_size(self, m, f):
+        with pytest.raises(ValueError,
+                           match="^need one fluctuation per window size$"):
+            estimate_hurst(m, f)
 
 
 class TestShuffled:

@@ -237,3 +237,24 @@ class TestKsAfterLinearMap:
     def test_constant_x(self):
         with pytest.raises(DegenerateInputError):
             ks_after_linear_map(np.ones(20), np.arange(20.0))
+
+
+class TestKsThreshold:
+    """Both KS tests accept exactly when the p-value is at or above the
+    threshold they are given."""
+    X = [28, 19, 20, 27, 17, 23, 25, 7, 2, 9, 9, 26, 27, 1]
+    Y = [27, 35, 1, 41, -3, 21, 40, -3, -6, -3, 19, 13, 51, -2]
+
+    @pytest.mark.parametrize("test, a, b", [
+        (ks_two_sample, np.random.default_rng(7).normal(size=40),
+         np.random.default_rng(8).normal(0.4, 1, size=40)),
+        (ks_after_linear_map, X, Y),
+    ])
+    def test_accepted_only_at_or_above_the_threshold(self, test, a, b):
+        p = test(a, b).p_value
+        assert 0 < p < 1
+        at_p = test(a, b, p)
+        above_p = test(a, b, np.nextafter(p, 1))
+        assert at_p.p_value == above_p.p_value == p
+        assert at_p.accepted
+        assert not above_p.accepted

@@ -7,7 +7,7 @@ import pytest
 import corpusgen
 from sentlen import cli, correlation, dfa, distribution, harness, textpipe
 from sentlen.cli import main as cli_main
-from sentlen.correlation import LinearMap, PearsonResult, RankTestResult
+from sentlen.correlation import LinearMap, RankTestResult
 from sentlen.dfa import HurstEstimate
 from sentlen.distribution import KsResult
 from sentlen.exceptions import ConfigError, DegenerateInputError, IngestionError
@@ -79,6 +79,39 @@ class TestAnalyzeBook:
             "n40": "series of length 40 too short for DFA: window grid "
                    "[8, 9, 10] has 3 sizes, a fit needs 4",
         }
+
+    def test_p_threshold_decides_every_test(self, tmp_path):
+        path = tmp_path / "book.txt"
+        path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
+        runs = []
+        for t in (0.01, 0.5):
+            rep = analyze_book(path, AnalysisConfig(p_threshold=t))
+            run = []
+            for c in rep.comparisons:
+                for test in (c.spearman, c.kendall, c.gamma):
+                    assert test.rejected is (test.p_value < t)
+                    run.append((test.p_value, test.rejected))
+                for test in (c.ks_plain, c.ks_mapped):
+                    assert test.accepted is (test.p_value >= t)
+                    run.append((test.p_value, test.accepted))
+            runs.append(run)
+        (p_low, decided_low), (p_high, decided_high) = (zip(*run)
+                                                        for run in runs)
+        # the threshold moves decisions, never p-values; this book has KS
+        # p-values between the two thresholds, so some decision flips
+        assert p_low == p_high
+        assert decided_low != decided_high
+
+    def test_decisions_are_bools_for_a_numpy_threshold(self, tmp_path):
+        path = tmp_path / "book.txt"
+        path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
+        rep = analyze_book(path, AnalysisConfig(p_threshold=np.float64(0.5)))
+        for c in harness._book_record(rep)["comparisons"]:
+            decisions = [c[test]["rejected"]
+                         for test in ("spearman", "kendall", "gamma")]
+            decisions += [c[test]["accepted"]
+                          for test in ("ks_plain", "ks_mapped")]
+            assert all(type(d) is bool for d in decisions)
 
     def test_each_series_prepared_once(self, tmp_path, monkeypatch):
         path = tmp_path / "book.txt"
@@ -392,10 +425,10 @@ def _golden_outputs(tmp_path):
     no analysis, so the expected files below pin the output schema."""
     comparison = ComparisonResult(
         pair=(W, C),
-        pearson=PearsonResult(r=0.9876543219),
-        spearman=RankTestResult(0.91234567, 2.5e-12, 0.01),
-        kendall=RankTestResult(0.75, 0.0, 0.01),
-        gamma=RankTestResult(0.8333333333, 0.0125, 0.01),
+        pearson=0.9876543219,
+        spearman=RankTestResult(0.91234567, 2.5e-12, rejected=True),
+        kendall=RankTestResult(0.75, 0.0, rejected=True),
+        gamma=RankTestResult(0.8333333333, 0.0125, rejected=False),
         ks_plain=KsResult(kappa=0.0257191234, p_value=0.27894, accepted=True),
         ks_mapped=KsResult(kappa=0.125, p_value=0.00123456789,
                            accepted=False),
