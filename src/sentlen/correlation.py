@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,17 +51,82 @@ class RankTestResult:
 
 @dataclass(frozen=True, eq=False)
 class RankTable:
-    """One series' ranks, read-only: the dense rank of each value (0 for
-    the smallest), the multiplicity of each distinct value, and the
-    1-based midranks.  Every rank statistic takes one in place of the
-    array it was built from, and ranks an array itself."""
-    dense: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
-    midranks: np.ndarray = field(repr=False)
+    """One series, read-only, and what the statistics read from it:
+
+    - its float row, the row's mean, the centred row and its sum of
+      squares (Pearson's r and the linear map)
+    - the dense rank of each value (0 for the smallest), the multiplicity
+      of each distinct value and the 1-based midranks (the rank tests)
+    - the centred midranks and their norm (Spearman's rho)
+    - the three tie sums of the tau variance
+    - the sorted row (the KS tests)
+
+    Only the row is held on construction; every other field is computed
+    on first read, so a caller that reads only the ranks pays for nothing
+    else.  Every statistic takes a table in place of an array, and
+    `rank_table` builds one from an array on entry.  Tables compare and
+    hash by identity, which keys the memo of pair counts."""
+    row: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.dense.size
+        return self.row.size
+
+    @cached_property
+    def mean(self) -> np.float64:
+        return self.row.mean()
+
+    @cached_property
+    def centred(self) -> np.ndarray:
+        return _read_only(self.row - self.mean)
+
+    @cached_property
+    def sum_sq(self) -> float:
+        return float(np.dot(self.centred, self.centred))
+
+    @cached_property
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        dense, counts = _ties(self.row)
+        return _read_only(dense), _read_only(counts)
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self._ranks[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._ranks[1]
+
+    @cached_property
+    def midranks(self) -> np.ndarray:
+        return _read_only(_midranks(self.dense, self.counts))
+
+    @cached_property
+    def centred_midranks(self) -> np.ndarray:
+        return _read_only(self.midranks - self.midranks.mean())
+
+    @cached_property
+    def midrank_norm(self) -> float:
+        return math.sqrt(float(np.dot(self.centred_midranks,
+                                      self.centred_midranks)))
+
+    @cached_property
+    def tie_sums(self) -> tuple[int, int, int]:
+        """sum t(t-1)(2t+5), sum t(t-1) and sum t(t-1)(t-2) over the
+        multiplicities t: the tie terms of the variance of C - D."""
+        t = self.counts.astype(np.int64)
+        pairs2 = t * (t - 1)
+        return (int(pairs2 @ (2 * t + 5)), int(pairs2.sum()),
+                int(pairs2 @ (t - 2)))
+
+    @cached_property
+    def sorted(self) -> np.ndarray:
+        return _read_only(np.sort(self.row))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _validate(values) -> np.ndarray:
@@ -81,23 +146,40 @@ def _check_pair(n_x: int, n_y: int, min_size: int = 2) -> None:
             f"need at least {min_size} points, got {n_x}")
 
 
-def _validate_pair(x, y):
-    x, y = _validate(x), _validate(y)
-    _check_pair(x.size, y.size)
-    return x, y
+def rank_table(values) -> RankTable:
+    """The table of a finite one-dimensional series; a table is returned
+    as it is."""
+    if isinstance(values, RankTable):
+        return values
+    row = _validate(values)
+    if row.flags.writeable:
+        # a view, so that the table cannot write to the caller's array
+        row = row.view()
+    return RankTable(_read_only(row))
+
+
+def _table_pair(x, y, min_size: int = 2) -> tuple[RankTable, RankTable]:
+    """The tables of x and y, checked to be of one length and at least
+    `min_size` points."""
+    tx, ty = rank_table(x), rank_table(y)
+    _check_pair(tx.size, ty.size, min_size)
+    return tx, ty
+
+
+def _correlate(dx, dy, norm_x: float, norm_y: float) -> float:
+    """Pearson's r of two centred rows with the given norms."""
+    if norm_x == 0 or norm_y == 0:
+        raise DegenerateInputError("zero variance input to pearson")
+    return float(np.dot(dx, dy)) / (norm_x * norm_y)
 
 
 def pearson(x, y) -> float:
     """Sample Pearson correlation: covariance over the product of
-    standard deviations (matching 1/N normalization on both sides)."""
-    x, y = _validate_pair(x, y)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = math.sqrt(float(np.dot(dx, dx)))
-    sy = math.sqrt(float(np.dot(dy, dy)))
-    if sx == 0 or sy == 0:
-        raise DegenerateInputError("zero variance input to pearson")
-    return float(np.dot(dx, dy)) / (sx * sy)
+    standard deviations (matching 1/N normalization on both sides), from
+    two arrays or their tables."""
+    tx, ty = _table_pair(x, y)
+    return _correlate(tx.centred, ty.centred,
+                      math.sqrt(tx.sum_sq), math.sqrt(ty.sum_sq))
 
 
 def _ties(values) -> tuple[np.ndarray, np.ndarray]:
@@ -106,24 +188,6 @@ def _ties(values) -> tuple[np.ndarray, np.ndarray]:
     _, dense, counts = np.unique(values, return_inverse=True,
                                  return_counts=True)
     return dense, counts
-
-
-def rank_table(values) -> RankTable:
-    """The rank table of a finite one-dimensional series."""
-    dense, counts = _ties(_validate(values))
-    table = RankTable(dense, counts, _midranks(dense, counts))
-    for arr in (dense, counts, table.midranks):
-        arr.setflags(write=False)
-    return table
-
-
-def _rank_pair(x, y, min_size: int = 2) -> tuple[RankTable, RankTable]:
-    """Rank tables of x and y, each ranked here unless it is one, checked
-    to be of one length and at least `min_size` points."""
-    rx, ry = (v if isinstance(v, RankTable) else rank_table(v)
-              for v in (x, y))
-    _check_pair(rx.size, ry.size, min_size)
-    return rx, ry
 
 
 def _pairs(counts) -> int:
@@ -194,7 +258,9 @@ def _count_inversions(ranks, n_ranks: int) -> int:
 def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     """(C, D, n0, tx, ty): concordant and discordant pair counts plus
     total pairs and pairs tied in x and in y, from two arrays or their
-    rank tables.
+    tables.  Memoized on the pair of tables, so tau and gamma of one pair
+    count it once; an array gets a fresh table, and so never a stale
+    count.
 
     With dense ranks a of x (kx values) and b of y (ky), the pairs come
     from the kx x ky table N of points per (a, b) while it has at most
@@ -206,7 +272,13 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     pairs tied in either coordinate; the pairs tied in both are the pairs
     inside each run of equal keys.  Both are exact integers.
     """
-    rx, ry = _rank_pair(x, y, min_size=0)
+    return _concordance(*_table_pair(x, y, min_size=0))
+
+
+@lru_cache(maxsize=16)
+def _concordance(rx: RankTable, ry: RankTable):
+    """concordance_counts of two tables, keyed on their identity; each key
+    holds its tables, so no other table can take their ids while cached."""
     n = rx.size
     n0 = n * (n - 1) // 2
     kx, ky = rx.counts.size, ry.counts.size
@@ -224,7 +296,8 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
         # the last index of every run of equal keys but the final one
         ends = np.flatnonzero(key[1:] != key[:-1])
         txy = _pairs(np.diff(ends, prepend=-1, append=n - 1))
-    tx, ty = _pairs(rx.counts), _pairs(ry.counts)
+    # the middle tie sum, sum t(t - 1), counts each tied pair twice
+    tx, ty = rx.tie_sums[1] // 2, ry.tie_sums[1] // 2
     c = n0 - tx - ty + txy - d
     return c, d, n0, tx, ty
 
@@ -346,18 +419,11 @@ def _t_two_sided_p(t: float, df: int) -> float:
     return 1.0 - math.exp(ln_front) / _beta_cf(0.5, a, y, x)  # 1 - I_y(b, a)
 
 
-def _tau_normal_pvalue(c, d, n, x_counts, y_counts) -> float:
-    """Normal approximation with the tie-corrected variance of C - D; the
-    tie sums come from the multiplicities of x and y."""
-
-    def tie_sums(t):
-        t = t.astype(np.int64)
-        pairs2 = t * (t - 1)
-        return (int(pairs2 @ (2 * t + 5)), int(pairs2.sum()),
-                int(pairs2 @ (t - 2)))
-
-    vt, t1, t2 = tie_sums(x_counts)
-    vu, u1, u2 = tie_sums(y_counts)
+def _tau_normal_pvalue(c, d, n, x_ties, y_ties) -> float:
+    """Normal approximation with the tie-corrected variance of C - D, from
+    the tie sums of x and y."""
+    vt, t1, t2 = x_ties
+    vu, u1, u2 = y_ties
     v0 = n * (n - 1) * (2 * n + 5)
     var = (v0 - vt - vu) / 18.0
     var += t1 * u1 / (2.0 * n * (n - 1))
@@ -371,8 +437,8 @@ def _tau_normal_pvalue(c, d, n, x_counts, y_counts) -> float:
 
 def kendall_tau(x, y, threshold: float = 0.01) -> RankTestResult:
     """Tie-corrected Kendall tau-b with two-sided p-value, from two arrays
-    or their rank tables."""
-    rx, ry = _rank_pair(x, y)
+    or their tables."""
+    rx, ry = _table_pair(x, y)
     c, d, n0, tx, ty = concordance_counts(rx, ry)
     if tx == n0 or ty == n0:
         raise DegenerateInputError("all-tied input to kendall_tau")
@@ -380,15 +446,15 @@ def kendall_tau(x, y, threshold: float = 0.01) -> RankTestResult:
     if rx.size < EXACT_PVALUE_BELOW_N:
         p, _, _ = _exact_rank_pvalues(rx, ry)
     else:
-        p = _tau_normal_pvalue(c, d, rx.size, rx.counts, ry.counts)
+        p = _tau_normal_pvalue(c, d, rx.size, rx.tie_sums, ry.tie_sums)
     return RankTestResult(statistic=tau, p_value=p,
                           rejected=bool(p < threshold))
 
 
 def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
     """gamma = (C - D) / (C + D), ties excluded from both counts; from two
-    arrays or their rank tables."""
-    rx, ry = _rank_pair(x, y)
+    arrays or their tables."""
+    rx, ry = _table_pair(x, y)
     c, d, _, _, _ = concordance_counts(rx, ry)
     if c + d == 0:
         raise DegenerateInputError("all pairs tied: gamma undefined")
@@ -408,9 +474,10 @@ def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
 def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
     """Pearson correlation of mid-ranks; p-value from the t
     approximation with n - 2 degrees of freedom.  Takes two arrays or
-    their rank tables."""
-    rx, ry = _rank_pair(x, y)
-    rho = pearson(rx.midranks, ry.midranks)
+    their tables."""
+    rx, ry = _table_pair(x, y)
+    rho = _correlate(rx.centred_midranks, ry.centred_midranks,
+                     rx.midrank_norm, ry.midrank_norm)
     n = rx.size
     if n < EXACT_PVALUE_BELOW_N:
         _, _, p = _exact_rank_pvalues(rx, ry)
@@ -424,12 +491,12 @@ def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
 
 
 def fit_linear_map(x, y) -> LinearMap:
-    """Ordinary least squares y ~ alpha * x + beta."""
-    x, y = _validate_pair(x, y)
-    dx = x - x.mean()
-    sxx = float(np.dot(dx, dx))
-    if sxx == 0:
+    """Ordinary least squares y ~ alpha * x + beta, from two arrays or
+    their tables: the dot product of the centred rows that gives Pearson's
+    r, over the sum of squares of x."""
+    tx, ty = _table_pair(x, y)
+    if tx.sum_sq == 0:
         raise DegenerateInputError("constant x: linear map undefined")
-    alpha = float(np.dot(dx, y - y.mean())) / sxx
-    beta = float(y.mean() - alpha * x.mean())
+    alpha = float(np.dot(tx.centred, ty.centred)) / tx.sum_sq
+    beta = float(ty.mean - alpha * tx.mean)
     return LinearMap(alpha=alpha, beta=beta)

@@ -139,15 +139,18 @@ def dfa_curve(series, config: DfaConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_fit(window_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """log m over a window grid and the weights w with w . log F the
-    least-squares slope of log F against log m, both read-only."""
+def _grid_fit(window_sizes: tuple[int, ...]
+              ) -> tuple[np.ndarray, np.float64, np.ndarray]:
+    """log m over a window grid, its mean, and the weights w with
+    w . log F the least-squares slope of log F against log m; the arrays
+    are read-only."""
     log_m = np.log(np.array(window_sizes, dtype=float))
-    centered = log_m - log_m.mean()
+    log_m_mean = log_m.mean()
+    centered = log_m - log_m_mean
     weights = centered / np.dot(centered, centered)
     log_m.setflags(write=False)
     weights.setflags(write=False)
-    return log_m, weights
+    return log_m, log_m_mean, weights
 
 
 def estimate_hurst(window_sizes, fluctuations) -> HurstEstimate:
@@ -164,11 +167,12 @@ def estimate_hurst(window_sizes, fluctuations) -> HurstEstimate:
             f"undefined exponent: fewer than {MIN_FIT_POINTS} positive "
             "fluctuation points"
         )
-    lm, weights = _grid_fit(tuple(m[mask].tolist()))
+    lm, lm_mean, weights = _grid_fit(tuple(m[mask].tolist()))
     lf = np.log(f[mask])
     slope = float(np.dot(weights, lf))
-    lf_mean = lf.mean()
-    intercept = float(lf_mean - slope * lm.mean())
+    # ndarray.mean's own arithmetic, without its per-call overhead
+    lf_mean = np.add.reduce(lf) / lf.size
+    intercept = float(lf_mean - slope * lm_mean)
     resid = lf - (slope * lm + intercept)
     ss_res = float(np.dot(resid, resid))
     deviation = lf - lf_mean

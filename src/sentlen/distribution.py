@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import fit_linear_map
+from .correlation import fit_linear_map, rank_table
 from .exceptions import DegenerateInputError
 
 
@@ -34,15 +34,19 @@ def mean_normalize(series) -> np.ndarray:
 
 def ks_distance(a, b) -> float:
     """sup_x |C_a(x) - C_b(x)|, with C the right-continuous empirical CDF
-    of a sample: C(x) = (# samples <= x) / n.
+    of a sample: C(x) = (# samples <= x) / n; from two samples or their
+    tables, of which it reads the sorted rows."""
+    return _sup_distance(rank_table(a).sorted, rank_table(b).sorted)
+
+
+def _sup_distance(a, b) -> float:
+    """ks_distance of two sorted samples.
 
     Both CDFs are step functions, so the supremum is attained at a
     sample point. Evaluating at the distinct values of each sorted side
     (the last of each run of equal values) is exact, and reads the same
     differences as the whole merged sample, so the result is the same bits.
     """
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise DegenerateInputError("KS distance requires at least one sample per side")
     grid = np.concatenate([a[:-1][a[1:] != a[:-1]], a[-1:],
@@ -70,16 +74,18 @@ def kolmogorov_sf(lam: float) -> float:
 
 def ks_two_sample(a, b, threshold: float = 0.01) -> KsResult:
     """Two-sample KS test with the asymptotic p-value at effective size
-    n_e = n_a n_b / (n_a + n_b) and the usual small-sample correction."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("inputs must be finite")
+    n_e = n_a n_b / (n_a + n_b) and the usual small-sample correction;
+    from two samples or their tables."""
+    return _ks_test(rank_table(a).sorted, rank_table(b).sorted, threshold)
+
+
+def _ks_test(a, b, threshold: float) -> KsResult:
+    """ks_two_sample of two sorted samples."""
     if a.size < 5 or b.size < 5:
         raise DegenerateInputError(
             f"KS test needs >= 5 samples per side, got {a.size} and {b.size}"
         )
-    kappa = ks_distance(a, b)
+    kappa = _sup_distance(a, b)
     n_e = a.size * b.size / (a.size + b.size)
     lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * kappa
     p = kolmogorov_sf(lam)
@@ -88,8 +94,18 @@ def ks_two_sample(a, b, threshold: float = 0.01) -> KsResult:
 
 def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult:
     """Fit y = alpha*x + beta by least squares, map x through it, then
-    KS-compare the mapped values against y.  No mean normalization: the
-    map already aligns location and scale."""
-    lm = fit_linear_map(x_series, y_series)
-    mapped = lm.alpha * np.asarray(x_series, dtype=float) + lm.beta
-    return ks_two_sample(mapped, np.asarray(y_series, dtype=float), threshold)
+    KS-compare the mapped values against y; from two series or their
+    tables.  No mean normalization: the map already aligns location and
+    scale.
+
+    The map sorts nothing: rounding is monotone, so alpha times the
+    sorted x plus beta is sorted when alpha >= 0, and sorted in reverse
+    when alpha < 0."""
+    tx, ty = rank_table(x_series), rank_table(y_series)
+    lm = fit_linear_map(tx, ty)
+    mapped = lm.alpha * tx.sorted + lm.beta
+    if not np.isfinite(mapped).all():
+        raise ValueError("inputs must be finite")
+    if lm.alpha < 0:
+        mapped = mapped[::-1]
+    return _ks_test(mapped, ty.sorted, threshold)

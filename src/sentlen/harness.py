@@ -155,27 +155,29 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
         min_window=config.dfa_min_window,
         max_fraction=config.dfa_max_fraction, num=config.dfa_points)
     values = extract_all(doc)
-    # each ranked once for the rank tests; ranking a constant series raises
-    # nothing, so an all-zero series still fails in pearson first
-    ranks = [correlation.rank_table(v) for v in values]
-    # each normalized once, on first use, for the same reason
-    normalized = cache(lambda k: distribution.mean_normalize(values[k]))
+    # one table per series feeds all 15 pairs; each field is computed on
+    # its first read, so an all-zero series still fails in pearson first
+    tables = [correlation.rank_table(v) for v in values]
+    # each normalized once, on first use, for the same reason; KS reads
+    # the sorted row of its table
+    normalized = cache(lambda k: correlation.rank_table(
+        distribution.mean_normalize(values[k])))
 
     comparisons = []
     for i, j in PAIR_INDICES:
-        x, y = values[i], values[j]
-        rx, ry = ranks[i], ranks[j]
+        tx, ty = tables[i], tables[j]
         comparisons.append(ComparisonResult(
             pair=(CANONICAL_ORDER[i], CANONICAL_ORDER[j]),
-            pearson=correlation.pearson(x, y),
-            spearman=correlation.spearman(rx, ry, config.p_threshold),
-            kendall=correlation.kendall_tau(rx, ry, config.p_threshold),
-            gamma=correlation.goodman_kruskal_gamma(rx, ry,
+            pearson=correlation.pearson(tx, ty),
+            spearman=correlation.spearman(tx, ty, config.p_threshold),
+            kendall=correlation.kendall_tau(tx, ty, config.p_threshold),
+            gamma=correlation.goodman_kruskal_gamma(tx, ty,
                                                     config.p_threshold),
             ks_plain=distribution.ks_two_sample(
                 normalized(i), normalized(j), config.p_threshold),
-            ks_mapped=distribution.ks_after_linear_map(x, y, config.p_threshold),
-            linear_map=correlation.fit_linear_map(x, y),
+            ks_mapped=distribution.ks_after_linear_map(tx, ty,
+                                                       config.p_threshold),
+            linear_map=correlation.fit_linear_map(tx, ty),
         ))
 
     hurst = {}

@@ -30,7 +30,12 @@ from sentlen.correlation import (
     rank_table,
     spearman,
 )
-from sentlen.distribution import ks_two_sample, mean_normalize
+from sentlen.distribution import (
+    ks_after_linear_map,
+    ks_distance,
+    ks_two_sample,
+    mean_normalize,
+)
 from sentlen.exceptions import DegenerateInputError
 
 
@@ -664,7 +669,9 @@ class TestRankTableArguments:
         x, y = (np.asarray(v, dtype=float) for v in zip(*pairs))
         rx, ry = rank_table(x), rank_table(y)
         for budget in (0, correlation._CELLS_PER_POINT):
-            # a budget of 0 sends every concordance count through Knight's
+            # a budget of 0 sends every concordance count through Knight's;
+            # the memo would answer the second budget from the first
+            correlation._concordance.cache_clear()
             with mock.patch.object(correlation, "_CELLS_PER_POINT", budget):
                 for fn in _RANKED_FNS:
                     expected = _outcome(fn, x, y)
@@ -685,6 +692,154 @@ class TestRankTableArguments:
         for fn in _RANKED_FNS:
             with pytest.raises(ValueError, match="length mismatch"):
                 fn(rank_table(np.arange(12.0)), rank_table(np.arange(11.0)))
+
+
+_TABLE_FNS = (pearson, spearman, kendall_tau, goodman_kruskal_gamma,
+              concordance_counts, fit_linear_map, ks_distance, ks_two_sample,
+              ks_after_linear_map)
+
+
+def _pair_of(x, shape, draw):
+    """x and a partner y: free values, a decreasing function of x (a
+    negative slope), a constant (slope 0), or, for an arithmetic x in
+    place of the given one, values with exactly zero covariance with it
+    (slope 0 from a non-constant y)."""
+    n = x.size
+    if shape == "free":
+        return x, np.asarray(draw(st.lists(
+            st.sampled_from([-7.5, -0.0, 0.0, 0.25, 3.0, 1e6]),
+            min_size=n, max_size=n)), dtype=float)
+    if shape == "decreasing":
+        return x, -2.0 * x + np.asarray(draw(st.lists(
+            st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    if shape == "constant":
+        return x, np.full(n, draw(st.sampled_from([-0.0, 0.0, 4.0])))
+    # symmetric about the middle of an arithmetic x: sum dx * dy is 0
+    half = np.asarray(draw(st.lists(st.integers(0, 5), min_size=n // 2,
+                                    max_size=n // 2)), dtype=float)
+    middle = [3.0] if n % 2 else []
+    return np.arange(n, dtype=float), np.concatenate([half, middle,
+                                                       half[::-1]])
+
+
+class TestTablesEqualArrays:
+    """Every statistic that takes a table gives the same result (or the
+    same error) from two tables, from a table and an array, and from the
+    two arrays the tables were built from."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_statistic(self, data):
+        x = np.asarray(data.draw(st.lists(
+            st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 3.0, 40.0]),
+            min_size=2, max_size=60), label="x"), dtype=float)
+        shape = data.draw(st.sampled_from(
+            ["free", "decreasing", "constant", "uncorrelated"]), label="y")
+        x, y = _pair_of(x, shape, data.draw)
+        rx, ry = rank_table(x), rank_table(y)
+        for fn in _TABLE_FNS:
+            expected = _outcome(fn, x.copy(), y.copy())
+            assert _outcome(fn, rx, ry) == expected
+            assert _outcome(fn, rx, y) == expected
+            assert _outcome(fn, x, ry) == expected
+
+    @pytest.mark.parametrize("slope", [2.5, 0.0, -0.0, -1.5])
+    def test_mapped_ks_reads_the_sorted_row(self, slope):
+        # with alpha >= 0 the mapped sorted x is sorted, with alpha < 0
+        # it is sorted in reverse; either way the same KS as mapping and
+        # sorting the values
+        rng = np.random.default_rng(23)
+        x = rng.integers(1, 12, size=40).astype(float)
+        y = slope * x + rng.integers(0, 3, size=40)
+        if slope == 0.0:
+            y = np.full(40, 5.0)
+        lm = fit_linear_map(x, y)
+        assert (lm.alpha < 0) == (slope < 0)
+        got = ks_after_linear_map(rank_table(x), rank_table(y))
+        assert got == ks_two_sample(lm.alpha * x + lm.beta, y)
+
+
+class TestConcordanceMemo:
+    """concordance_counts is memoized on the pair of tables: a pair of
+    tables is counted once, an array is never answered from the memo, and
+    the memo is bounded."""
+
+    @staticmethod
+    def _calls():
+        info = correlation._concordance.cache_info()
+        return info.misses, info.hits
+
+    def test_one_count_per_pair_of_tables(self):
+        x = np.arange(30.0) % 7
+        y = np.arange(30.0) % 5
+        rx, ry = rank_table(x), rank_table(y)
+        misses, hits = self._calls()
+        kendall_tau(rx, ry)
+        goodman_kruskal_gamma(rx, ry)
+        assert self._calls() == (misses + 1, hits + 1)
+
+    def test_arrays_are_never_stale(self):
+        x = np.arange(30.0) % 7
+        y = np.arange(30.0) % 5
+        before = kendall_tau(x, y)
+        misses, hits = self._calls()
+        x[:10] = x[:10][::-1].copy()
+        after = kendall_tau(x, y)
+        assert self._calls() == (misses + 1, hits)
+        assert after == kendall_tau(x.copy(), y.copy())
+        assert after != before
+
+    def test_path_checks_count_every_call(self):
+        # _counts_by_path compares the table and the merge on the same
+        # arrays; each of its calls must count, not read the memo
+        x = np.arange(40.0) % 9
+        y = np.arange(40.0)[::-1] % 6
+        misses, hits = self._calls()
+        _counts_by_path(x, y)
+        assert self._calls() == (misses + 3, hits)
+
+    def test_bounded(self):
+        size = correlation._concordance.cache_info().maxsize
+        assert size is not None
+        x = np.arange(12.0)
+        for _ in range(size + 5):
+            concordance_counts(rank_table(x), rank_table(x))
+        assert correlation._concordance.cache_info().currsize == size
+
+
+class TestTableFields:
+    def test_fields_are_computed_on_first_read(self):
+        table = rank_table([3.0, 1.0, 3.0, 2.0])
+        assert "sorted" not in vars(table) and "centred" not in vars(table)
+        concordance_counts(table, table)
+        # the ranks alone were read
+        assert {"sorted", "mean", "centred", "midranks"}.isdisjoint(
+            vars(table))
+        assert table.sorted.tolist() == [1.0, 2.0, 3.0, 3.0]
+        assert table.centred.tolist() == [0.75, -1.25, 0.75, -0.25]
+        assert table.sum_sq == 2.75
+        assert table.tie_sums == (2 * 9, 2, 0)
+
+    def test_every_array_is_read_only(self):
+        values = np.array([3.0, 1.0, 3.0, 2.0])
+        table = rank_table(values)
+        for name in ("row", "centred", "dense", "counts", "midranks",
+                     "centred_midranks", "sorted"):
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0
+        # the caller's array stays writeable, and a table is its own table
+        values[0] = 4.0
+        assert rank_table(table) is table
+
+    def test_constant_series(self):
+        # ranks, sums and norms of a constant series raise nothing; the
+        # correlations say why they cannot use it
+        table = rank_table(np.full(12, 7.0))
+        assert table.sum_sq == 0 and table.midrank_norm == 0
+        other = rank_table(np.arange(12.0))
+        for fn in (pearson, spearman):
+            with pytest.raises(DegenerateInputError, match="zero variance"):
+                fn(table, other)
 
 
 def _scipy_t_pvalue(df, t):

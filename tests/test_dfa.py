@@ -306,7 +306,8 @@ class TestHurstEstimate:
         hits = dfa._grid_fit.cache_info().hits
         estimate_hurst(cfg.window_sizes, f)
         assert dfa._grid_fit.cache_info().hits == hits + 1
-        log_m, weights = dfa._grid_fit(cfg.window_sizes)
+        log_m, log_m_mean, weights = dfa._grid_fit(cfg.window_sizes)
+        assert log_m_mean == log_m.mean()
         for arr in (log_m, weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -364,7 +365,8 @@ class TestHurstEstimate:
         estimate_hurst(m, f)
         assert dfa._grid_fit.cache_info().hits == hits + 1
         kept = m[f > 0]
-        log_m, weights = dfa._grid_fit(tuple(kept.tolist()))
+        log_m, log_m_mean, weights = dfa._grid_fit(tuple(kept.tolist()))
+        assert log_m_mean == log_m.mean()
         for arr in (log_m, weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

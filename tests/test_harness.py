@@ -117,13 +117,15 @@ class TestAnalyzeBook:
         path = tmp_path / "book.txt"
         path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
         normalized, dfa_inputs, checks = [], [], []
+        normalized_rows = []
         mean_normalize = distribution.mean_normalize
         hurst_of_series = dfa.hurst_of_series
         post_init = dfa.DfaConfig.__post_init__
 
         def record_normalize(series):
             normalized.append(series)
-            return mean_normalize(series)
+            normalized_rows.append(mean_normalize(series))
+            return normalized_rows[-1]
 
         def record_hurst(series, config):
             dfa_inputs.append(series)
@@ -150,6 +152,20 @@ class TestAnalyzeBook:
             extracted.append(extract_all(doc))
             return extracted[-1]
 
+        midranked, sorted_rows = [], []
+        midranks, sort = correlation._midranks, np.sort
+
+        def record_midranks(dense, counts):
+            midranked.append(dense)
+            return midranks(dense, counts)
+
+        def record_sort(a, *args, **kwargs):
+            sorted_rows.append(a)
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(correlation, "_midranks", record_midranks)
+        monkeypatch.setattr(np, "sort", record_sort)
+        correlation._concordance.cache_clear()
         monkeypatch.setattr(harness, "extract_all", record_extract)
         monkeypatch.setattr(distribution, "mean_normalize", record_normalize)
         monkeypatch.setattr(dfa, "hurst_of_series", record_hurst)
@@ -167,6 +183,18 @@ class TestAnalyzeBook:
         # and they are the rows of the book's one extract_all
         assert len(extracted) == 1
         assert [id(s) for s in extracted[0]] == rows
+        # each series' midranks are built once, for all 15 Spearman pairs
+        assert len(midranked) == 6
+        # the 15 pairs are counted once each: tau counts, gamma reads the
+        # memo
+        memo = correlation._concordance.cache_info()
+        assert (memo.misses, memo.hits) == (15, 15)
+        # no KS call sorts: each row and each normalized row is sorted
+        # once, by its table, for all 30 KS tests (a table holds a
+        # read-only view of a writeable array)
+        expected = rows + [id(s) for s in normalized_rows]
+        assert sorted(id(s) if id(s) in expected else id(s.base)
+                      for s in sorted_rows) == sorted(expected)
 
     def test_stopword_only_book_skipped_by_pearson(self, tmp_path):
         # its non-stopword series are all zero: ranking them raises nothing,
