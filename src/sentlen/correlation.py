@@ -55,9 +55,10 @@ class RankTable:
 
     - its float row, the row's mean, the centred row and its sum of
       squares (Pearson's r and the linear map)
-    - the dense rank of each value (0 for the smallest), the multiplicity
-      of each distinct value and the 1-based midranks (the rank tests)
-    - the centred midranks and their norm (Spearman's rho)
+    - the dense rank of each value (0 for the smallest) and the
+      multiplicity of each distinct value (the rank tests)
+    - the table of the 1-based midranks, whose centred row and sum of
+      squares give Spearman's rho
     - the three tie sums of the tau variance
     - the sorted row (the KS tests)
 
@@ -98,17 +99,8 @@ class RankTable:
         return self._ranks[1]
 
     @cached_property
-    def midranks(self) -> np.ndarray:
-        return _read_only(_midranks(self.dense, self.counts))
-
-    @cached_property
-    def centred_midranks(self) -> np.ndarray:
-        return _read_only(self.midranks - self.midranks.mean())
-
-    @cached_property
-    def midrank_norm(self) -> float:
-        return math.sqrt(float(np.dot(self.centred_midranks,
-                                      self.centred_midranks)))
+    def midranks(self) -> RankTable:
+        return RankTable(_read_only(_midranks(self.dense, self.counts)))
 
     @cached_property
     def tie_sums(self) -> tuple[int, int, int]:
@@ -166,20 +158,20 @@ def _table_pair(x, y, min_size: int = 2) -> tuple[RankTable, RankTable]:
     return tx, ty
 
 
-def _correlate(dx, dy, norm_x: float, norm_y: float) -> float:
-    """Pearson's r of two centred rows with the given norms."""
-    if norm_x == 0 or norm_y == 0:
-        raise DegenerateInputError("zero variance input to pearson")
-    return float(np.dot(dx, dy)) / (norm_x * norm_y)
-
-
 def pearson(x, y) -> float:
     """Sample Pearson correlation: covariance over the product of
     standard deviations (matching 1/N normalization on both sides), from
     two arrays or their tables."""
-    tx, ty = _table_pair(x, y)
-    return _correlate(tx.centred, ty.centred,
-                      math.sqrt(tx.sum_sq), math.sqrt(ty.sum_sq))
+    return _pearson(*_table_pair(x, y))
+
+
+def _pearson(tx: RankTable, ty: RankTable) -> float:
+    """pearson of two tables of one length: the dot product of their
+    centred rows over the root of each sum of squares."""
+    if tx.sum_sq == 0 or ty.sum_sq == 0:
+        raise DegenerateInputError("zero variance input to pearson")
+    return float(np.dot(tx.centred, ty.centred)) / (
+        math.sqrt(tx.sum_sq) * math.sqrt(ty.sum_sq))
 
 
 def _ties(values) -> tuple[np.ndarray, np.ndarray]:
@@ -476,8 +468,7 @@ def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
     approximation with n - 2 degrees of freedom.  Takes two arrays or
     their tables."""
     rx, ry = _table_pair(x, y)
-    rho = _correlate(rx.centred_midranks, ry.centred_midranks,
-                     rx.midrank_norm, ry.midrank_norm)
+    rho = _pearson(rx.midranks, ry.midranks)
     n = rx.size
     if n < EXACT_PVALUE_BELOW_N:
         _, _, p = _exact_rank_pvalues(rx, ry)

@@ -88,7 +88,8 @@ def integrate_profile(series) -> np.ndarray:
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
         raise DegenerateInputError("empty series has no profile")
-    return np.cumsum(arr - arr.mean())
+    # ndarray.mean's own arithmetic, without its per-call overhead
+    return (arr - np.add.reduce(arr) / arr.size).cumsum()
 
 
 @lru_cache(maxsize=64)
@@ -112,16 +113,15 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
     if m > n // 4:
         raise ValueError(f"window {m} exceeds a quarter of the series length {n}")
     s = n // m
-    windows = np.concatenate([
-        profile[:s * m].reshape(s, m),
-        profile[n - s * m:].reshape(s, m),
-    ])
+    windows = np.concatenate([profile[:s * m],
+                              profile[n - s * m:]]).reshape(2 * s, m)
     basis = _detrend_basis(m, detrend_degree)
     # concatenate made a fresh copy: form the squared residual in it, and
-    # sum / size is np.mean's own arithmetic
-    windows -= (windows @ basis) @ basis.T
+    # sum / size is np.mean's own arithmetic.  np.dot makes the same BLAS
+    # call as @, without matmul's dispatch
+    windows -= np.dot(np.dot(windows, basis), basis.T)
     windows *= windows
-    return math.sqrt(windows.sum() / windows.size)
+    return math.sqrt(np.add.reduce(windows, axis=None) / windows.size)
 
 
 def dfa_curve(series, config: DfaConfig) -> np.ndarray:

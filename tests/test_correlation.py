@@ -270,6 +270,31 @@ class TestSpearman:
         assert spearman(np.exp(x), y).statistic == pytest.approx(base, abs=1e-12)
         assert spearman(x, y ** 3).statistic == pytest.approx(base, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pairs=st.one_of(
+        # small non-negative integers, ties in both
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)),
+                 min_size=10, max_size=80),
+        # fractions, signed zeros and a huge value
+        st.lists(st.tuples(
+            st.floats(-1e6, 1e6),
+            st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0, 1e300])),
+            min_size=10, max_size=80),
+        # below n = 10: the exact p-value path
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                 min_size=2, max_size=7),
+        # a constant x
+        st.lists(st.integers(0, 9), min_size=2, max_size=40).map(
+            lambda ys: [(7, y) for y in ys])))
+    def test_rho_is_pearson_of_midranks(self, pairs):
+        x, y = (np.asarray(v, dtype=float) for v in zip(*pairs))
+        rho = _outcome(lambda a, b: spearman(a, b).statistic, x, y)
+        assert rho == _outcome(pearson, _midranks(*_ties(x)),
+                               _midranks(*_ties(y)))
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            assert rho == (DegenerateInputError,
+                           "zero variance input to pearson")
+
     def test_rank_invariance_applies_to_tau_and_gamma(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=40)
@@ -683,8 +708,8 @@ class TestRankTableArguments:
         table = rank_table([3.0, 1.0, 3.0, 2.0])
         assert table.dense.tolist() == [2, 0, 2, 1]
         assert table.counts.tolist() == [1, 1, 2]
-        assert table.midranks.tolist() == [3.5, 1.0, 3.5, 2.0]
-        for arr in (table.dense, table.counts, table.midranks):
+        assert table.midranks.row.tolist() == [3.5, 1.0, 3.5, 2.0]
+        for arr in (table.dense, table.counts, table.midranks.row):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -823,10 +848,10 @@ class TestTableFields:
     def test_every_array_is_read_only(self):
         values = np.array([3.0, 1.0, 3.0, 2.0])
         table = rank_table(values)
-        for name in ("row", "centred", "dense", "counts", "midranks",
-                     "centred_midranks", "sorted"):
+        for arr in (table.row, table.centred, table.dense, table.counts,
+                    table.midranks.row, table.midranks.centred, table.sorted):
             with pytest.raises(ValueError):
-                getattr(table, name)[0] = 0
+                arr[0] = 0
         # the caller's array stays writeable, and a table is its own table
         values[0] = 4.0
         assert rank_table(table) is table
@@ -835,7 +860,7 @@ class TestTableFields:
         # ranks, sums and norms of a constant series raise nothing; the
         # correlations say why they cannot use it
         table = rank_table(np.full(12, 7.0))
-        assert table.sum_sq == 0 and table.midrank_norm == 0
+        assert table.sum_sq == 0 and table.midranks.sum_sq == 0
         other = rank_table(np.arange(12.0))
         for fn in (pearson, spearman):
             with pytest.raises(DegenerateInputError, match="zero variance"):

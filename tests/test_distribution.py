@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,16 @@ class TestKsTwoSample:
             assert r.p_value == pytest.approx(
                 scipy.stats.kstwobign.sf(lam), abs=1e-10)
             assert abs(r.p_value - ref.pvalue) <= 0.25 / math.sqrt(n_e)
+
+    def test_kolmogorov_sf_is_scipy_kolmogorov(self):
+        # the truncated series stays within 6e-10 relative of scipy's
+        # survival function (largest near lambda = 1.88) up to lambda = 3.7;
+        # above about 3.76 its first term is below the cut-off, and it
+        # returns 0
+        lams = np.append(np.geomspace(1e-4, 3.7, 4001), 1.8823256629641012)
+        got = np.array([kolmogorov_sf(lam) for lam in lams])
+        assert got == pytest.approx(scipy.special.kolmogorov(lams),
+                                    rel=1e-9, abs=0)
 
     def test_p_monotone_in_kappa(self):
         lams = np.linspace(0.01, 3, 200)
