@@ -24,10 +24,9 @@ EXACT_PVALUE_BELOW_N = 10
 _LN_DBL_MIN = math.log(sys.float_info.min)
 _LN_GAMMA_HALF = 0.5 * math.log(math.pi)
 
-# concordance_counts fills a kx x ky table of value pairs, and
-# _count_inversions a (block, rank) table, while it has at most this many
-# cells per point; larger tables lose to the merge.  Timed apart, both
-# tables cross over with their merge at 24-48 and 28-32 cells per point
+# concordance_counts fills a kx x ky table of value pairs while it has at
+# most this many cells per point, which also bounds the table's memory.
+# Timed, the table crosses over with Knight's count at 24-48 cells per point
 _CELLS_PER_POINT = 32
 # _count_inversions compares the points inside blocks of this many at once
 _BLOCK = 32
@@ -199,15 +198,11 @@ def _count_inversions(ranks, n_ranks: int) -> int:
     The array is padded to a power of two with the rank n_ranks, above
     every real one (at the end, so the pad adds no strict inversion), and
     cut into blocks of `_BLOCK`.  One broadcast comparison counts the
-    pairs inside each block.  The pairs across blocks come from the
-    (block, rank) table of points while it has at most `_CELLS_PER_POINT`
-    cells per point: a prefix cumsum over ranks, then over blocks, gives
-    the points in earlier blocks at or below each rank, and every point
-    of block k has k * _BLOCK earlier points.  A larger table gives way
-    to a bottom-up merge from sorted blocks: each level counts, for every
-    element of a right half, the elements of its sorted left half that
-    exceed it, with one global `searchsorted` (a per-block offset keeps
-    the blocks apart), then sorts each merged block.
+    pairs inside each block.  A bottom-up merge from the sorted blocks
+    counts the pairs across them: each level counts, for every element of
+    a right half, the elements of its sorted left half that exceed it,
+    with one global `searchsorted` (a per-block offset keeps the blocks
+    apart), then sorts each merged block.
     """
     n = len(ranks)
     if n < 2:
@@ -219,22 +214,11 @@ def _count_inversions(ranks, n_ranks: int) -> int:
     a = np.full(size, n_ranks, dtype=np.min_scalar_type(-n_ranks - 1))
     a[:n] = ranks
     blocks = a.reshape(-1, w)
-    n_blocks = blocks.shape[0]
     total = int(np.count_nonzero(
         (blocks[:, :, None] > blocks[:, None, :]) & _UPPER[:w, :w]))
     width = n_ranks + 1
-    if n_blocks * width <= _CELLS_PER_POINT * n:
-        key = blocks + np.arange(0, n_blocks * width, width,
-                                 dtype=np.int64)[:, None]
-        # at_most[k, r]: points in blocks k' <= k with rank <= r
-        at_most = np.bincount(key.ravel(), minlength=n_blocks * width)
-        at_most = at_most.reshape(n_blocks, width)
-        np.cumsum(at_most, axis=1, out=at_most)
-        np.cumsum(at_most, axis=0, out=at_most)
-        earlier = at_most.ravel()[key[1:] - width]
-        return (total + w * w * n_blocks * (n_blocks - 1) // 2
-                - int(np.sum(earlier, dtype=np.int64)))
-    a = np.sort(blocks, axis=1).ravel()
+    # each sort is in place: blocks is a view of a
+    blocks.sort(axis=1)
     while w < size:
         blocks = a.reshape(-1, 2 * w)
         b = np.arange(blocks.shape[0], dtype=np.int64)[:, None]
@@ -242,7 +226,7 @@ def _count_inversions(ranks, n_ranks: int) -> int:
         pos = np.searchsorted(keyed[:, :w].ravel(), keyed[:, w:],
                               side="right")
         total += int(np.sum((b + 1) * w - pos, dtype=np.int64))
-        a = np.sort(blocks, axis=1).ravel()
+        blocks.sort(axis=1)
         w *= 2
     return total
 

@@ -51,6 +51,16 @@ class AnalysisConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("dfa_degree", "dfa_min_window", "dfa_points", "seed",
+                     "min_sentences", "hist_bin_width", "jobs"):
+            value = getattr(self, name)
+            try:
+                # a numpy integer is stored as a Python int: a numpy seed
+                # would overflow the shuffle seed's << 64
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(
+                    f"{name} must be an integer, got {value!r}") from None
         checks = (
             ("dfa_degree", self.dfa_degree >= 1, ">= 1"),
             # a degree-l fit needs at least l + 2 points per window

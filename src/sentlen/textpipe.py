@@ -71,8 +71,10 @@ class Document:
 
 def _read_nfc(path) -> str:
     """A resource file's text in the normal form the books are read in,
-    so its entries match the words they name."""
-    return unicodedata.normalize("NFC", Path(path).read_text(encoding="utf-8"))
+    so its entries match the words they name; a leading byte-order mark
+    is dropped, or it would cling to the first entry."""
+    return unicodedata.normalize("NFC",
+                                 Path(path).read_text(encoding="utf-8-sig"))
 
 
 class StopwordList:

@@ -415,30 +415,23 @@ class TestConcordancePaths:
         monkeypatch.undo()
         _counts_by_path(x, y)
 
-    def test_peak_memory_is_linear_in_n(self):
-        # all-distinct floats would need an n x n table, 72 MB at n = 3000
-        n = 3000
-        rng = np.random.default_rng(21)
-        x, y = rng.normal(size=n), rng.normal(size=n)
-        expected = concordance_counts(x, y)
-        self._assert_peak_below(400 * n, x, y, expected)
-
     @pytest.mark.parametrize("n, ky", [
-        (3000, 90),     # a 128 x 91 block table, far inside the budget
-        # the most padding, and 128 x 512 = 65 536 cells, one rank short of
-        # the budget of 32 x 2049 = 65 568
+        # all-distinct floats would need an n x n table, 72 MB at n = 3000
+        (3000, None),
+        (3000, 90),
+        # the most padding: 2049 points pad to 4096
         (2049, 511),
     ])
-    def test_block_table_peak_memory_is_linear_in_n(self, n, ky):
-        # n x ky value pairs exceed the cell budget, so the count goes
-        # through _count_inversions, whose block table fits it
-        rng = np.random.default_rng(22)
+    def test_peak_memory_is_linear_in_n(self, n, ky):
+        # each shape's n x ky value pairs exceed the cell budget, so the
+        # count goes through _count_inversions
+        rng = np.random.default_rng(21 if ky is None else 22)
         x = rng.normal(size=n)
-        y = rng.permutation(np.arange(n) % ky).astype(float)
-        expected = brute_pair_counts(x, y)
-        with mock.patch.object(np, "searchsorted",
-                               side_effect=AssertionError("merged")):
-            assert concordance_counts(x, y) == expected
+        y = (rng.normal(size=n) if ky is None
+             else rng.permutation(np.arange(n) % ky).astype(float))
+        expected = concordance_counts(x, y)
+        if ky is not None:
+            assert expected == brute_pair_counts(x, y)
         self._assert_peak_below(400 * n, x, y, expected)
 
     @staticmethod
@@ -538,8 +531,11 @@ class TestCountInversions:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_block_table_and_merge_match_enumeration(self, data):
+        # the block edge and the first merge level, wherever _BLOCK is
+        b = correlation._BLOCK
         n = data.draw(st.one_of(
-            st.sampled_from([1, 2, 31, 32, 33, 63, 64, 65, 1025]),
+            st.sampled_from([1, 2, b - 1, b, b + 1, 2 * b - 1, 2 * b,
+                             2 * b + 1, 1025]),
             st.integers(0, 300)), label="n")
         n_ranks = data.draw(st.one_of(
             st.integers(1, 2 * n + 2),
@@ -555,13 +551,9 @@ class TestCountInversions:
             ranks.sort()
             if shape == "reversed":
                 ranks = ranks[::-1]
-        expected = brute_inversions(ranks.tolist())
-        # budget 0 forces the merge across blocks, no budget the table
-        for budget in (0, 10**12):
-            with mock.patch.object(correlation, "_CELLS_PER_POINT", budget):
-                result = _count_inversions(ranks, n_ranks)
-            assert type(result) is int
-            assert result == expected
+        result = _count_inversions(ranks, n_ranks)
+        assert type(result) is int
+        assert result == brute_inversions(ranks.tolist())
 
     @pytest.mark.parametrize("ranks, n_ranks, expected", [
         ([126, 0, 127, 3], 128, 3),        # the pad needs int16

@@ -716,6 +716,14 @@ BAD_SETTINGS = [
     ("p_threshold", "--p-threshold", 2.0),
     ("min_sentences", "--min-sentences", -1),
     ("jobs", "--jobs", 0),
+    # argparse refuses a float for an integer flag, so these have none
+    ("dfa_degree", None, 1.5),
+    ("dfa_min_window", None, 5.0),
+    ("dfa_points", None, 4.5),
+    ("seed", None, 1.5),
+    ("min_sentences", None, "200"),
+    ("hist_bin_width", None, 1.5),
+    ("jobs", None, 2.0),
 ]
 
 
@@ -724,6 +732,16 @@ class TestConfigValidation:
     def test_rejected(self, name, flag, value):
         with pytest.raises(ConfigError, match=name):
             AnalysisConfig(**{name: value})
+
+    def test_numpy_integers_are_kept_as_ints(self, tmp_path):
+        path = tmp_path / "book.txt"
+        path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
+        config = AnalysisConfig(seed=np.int64(1), dfa_points=np.int32(6))
+        assert type(config.seed) is int and type(config.dfa_points) is int
+        assert config == AnalysisConfig(seed=1, dfa_points=6)
+        # the shuffle seed shifts config.seed past 64 bits
+        assert analyze_book(path, config) == analyze_book(
+            path, AnalysisConfig(seed=1, dfa_points=6))
 
     @pytest.mark.parametrize("name,flag,value",
                              [b for b in BAD_SETTINGS if b[1]])

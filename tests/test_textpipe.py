@@ -305,6 +305,19 @@ class TestResourceLoading:
         assert lex.lemma_of("heard") == "hear"
         assert lex.lemma_of("unknown") == "unknown"
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        files = {"stops.txt": b"the\nand\n", "lemmas.tsv": b"was\tbe\nran\trun\n"}
+        loaded = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            for name, content in files.items():
+                (tmp_path / name).write_bytes(prefix + content)
+            loaded.append((StopwordList.from_file(tmp_path / "stops.txt"),
+                           LemmaLexicon.from_file(tmp_path / "lemmas.tsv")))
+        (plain_stops, plain_lex), (bom_stops, bom_lex) = loaded
+        assert bom_stops.words == plain_stops.words == {"the", "and"}
+        assert bom_lex.mapping == plain_lex.mapping == {"was": "be",
+                                                        "ran": "run"}
+
     def test_malformed_lexicon_line(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
         path.write_text("heard hear\n", encoding="utf-8")
