@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import logging
+import numbers
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -61,6 +62,17 @@ class AnalysisConfig:
             except TypeError:
                 raise ConfigError(
                     f"{name} must be an integer, got {value!r}") from None
+        for name in ("dfa_max_fraction", "p_threshold"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            # a numpy float is stored as the Python float it holds
+            object.__setattr__(self, name, float(value))
+        for name in ("stopwords_path", "lemmas_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(
+                    f"{name} must be a path or None, got {value!r}")
         checks = (
             ("dfa_degree", self.dfa_degree >= 1, ">= 1"),
             # a degree-l fit needs at least l + 2 points per window

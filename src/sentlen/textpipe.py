@@ -12,6 +12,8 @@ same text gives the same counts in any Unicode normal form.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -172,38 +174,33 @@ def sentence_lengths(text: str, stops: StopwordList,
     """The six measures of every sentence of `text`, as a read-only
     (6, n_sentences) int64 array in CANONICAL_ORDER.
 
-    Each distinct piece is read once per call into one table of what it
-    adds to each measure; a sentence's lengths are the sums of its
-    pieces' entries."""
-    pieces: list[str] = []
-    # sentence i begins at pieces[starts[i]]; every sentence has a word, so
+    One pass codes each sentence's pieces as they are split: a piece
+    seen for the first time gets the next row of the measure table, and
+    no piece is kept, only its row, an 8-byte reference to the one int
+    `row_of` holds for that row.  Each distinct piece is then read once
+    into what it adds to each measure; a sentence's lengths are the sums
+    of its pieces' entries."""
+    row_of = collections.defaultdict(itertools.count().__next__)
+    code = row_of.__getitem__
+    rows = []
+    # sentence i begins at rows[starts[i]]; every sentence has a word, so
     # the starts strictly increase, as reduceat needs
     starts = []
     for raw in segment_sentences(unicodedata.normalize("NFC", text)):
-        starts.append(len(pieces))
-        pieces += raw.split()
-    row_of = dict.fromkeys(pieces)
-    for row, piece in enumerate(row_of):
-        row_of[piece] = row
+        starts.append(len(rows))
+        rows += map(code, raw.split())
     tokens = [read_piece(p, stops, lexicon) for p in row_of]
     word, chars, lemma_chars, kept = np.array(
         [(0, 0, 0, 0) if t is None
          else (1, len(t.surface), len(t.lemma), not t.is_stop) for t in tokens],
         dtype=np.int64).reshape(-1, 4).T
-    table = {
-        MeasureKind.WORDS: word,
-        MeasureKind.CHARS: chars,
-        MeasureKind.LEMMA_CHARS: lemma_chars,
-        MeasureKind.NONSTOP_WORDS: kept,
-        MeasureKind.NONSTOP_CHARS: kept * chars,
-        MeasureKind.NONSTOP_LEMMA_CHARS: kept * lemma_chars,
-    }
-    rows = np.fromiter(map(row_of.__getitem__, pieces), dtype=np.intp,
-                       count=len(pieces))
-    starts = np.asarray(starts, dtype=np.intp)
+    # in CANONICAL_ORDER
+    columns = (word, chars, lemma_chars, kept, kept * chars, kept * lemma_chars)
+    rows = np.array(rows, dtype=np.int64)
+    starts = np.array(starts, dtype=np.int64)
     lengths = np.empty((len(CANONICAL_ORDER), starts.size), dtype=np.int64)
-    for kind, out in zip(CANONICAL_ORDER, lengths):
-        np.add.reduceat(table[kind][rows], starts, out=out)
+    for column, out in zip(columns, lengths):
+        np.add.reduceat(column[rows], starts, out=out)
     lengths.setflags(write=False)
     return lengths
 

@@ -1,5 +1,6 @@
 import json
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -724,6 +725,12 @@ BAD_SETTINGS = [
     ("min_sentences", None, "200"),
     ("hist_bin_width", None, 1.5),
     ("jobs", None, 2.0),
+    # a float setting that is not a real number, a path that is not one
+    ("p_threshold", None, "0.01"),
+    ("p_threshold", None, 1j),
+    ("dfa_max_fraction", None, None),
+    ("stopwords_path", None, 3),
+    ("lemmas_path", None, b"lemmas.tsv"),
 ]
 
 
@@ -742,6 +749,13 @@ class TestConfigValidation:
         # the shuffle seed shifts config.seed past 64 bits
         assert analyze_book(path, config) == analyze_book(
             path, AnalysisConfig(seed=1, dfa_points=6))
+
+    def test_real_numbers_are_kept_as_floats(self):
+        config = AnalysisConfig(p_threshold=np.float32(0.25),
+                                dfa_max_fraction=Fraction(1, 5))
+        assert type(config.p_threshold) is float
+        assert type(config.dfa_max_fraction) is float
+        assert config == AnalysisConfig(p_threshold=0.25, dfa_max_fraction=0.2)
 
     @pytest.mark.parametrize("name,flag,value",
                              [b for b in BAD_SETTINGS if b[1]])
