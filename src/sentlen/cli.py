@@ -77,6 +77,10 @@ def _check_out_dir(out) -> None:
 def run_analyze(args) -> int:
     config = AnalysisConfig(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(AnalysisConfig)})
+    for name, path in (("input_dir", args.input_dir), ("--out", args.out)):
+        if not path:
+            # Path("") is the working directory, which a rerun would clean
+            raise ConfigError(f"{name} must not be empty")
     _check_out_dir(args.out)
     summary, reports = analyze_corpus(args.input_dir, config)
     written = emit_reports(summary, reports, args.out, formats=(args.format,))

@@ -144,10 +144,11 @@ def _load(field, path, kind):
 
 @lru_cache(maxsize=4)
 def _resources(stopwords_path, lemmas_path):
-    stops = (_load("stopwords_path", stopwords_path, textpipe.StopwordList)
-             if stopwords_path else textpipe.default_stopwords())
-    lexicon = (_load("lemmas_path", lemmas_path, textpipe.LemmaLexicon)
-               if lemmas_path else textpipe.default_lemma_lexicon())
+    # only None means the bundled list: an empty path fails to load
+    stops = (textpipe.default_stopwords() if stopwords_path is None else
+             _load("stopwords_path", stopwords_path, textpipe.StopwordList))
+    lexicon = (textpipe.default_lemma_lexicon() if lemmas_path is None else
+               _load("lemmas_path", lemmas_path, textpipe.LemmaLexicon))
     return stops, lexicon
 
 

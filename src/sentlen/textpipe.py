@@ -6,8 +6,8 @@ boundary.  Segmentation is one `str.split` at '.', after '!' and '?'
 are replaced by '.'.  Abbreviation periods are deliberately not
 special-cased.  Within a sentence, whitespace separates pieces, and a
 piece is a word when something is left after stripping its leading and
-trailing non-alphanumerics.  The text is NFC-normalized first, so the
-same text gives the same counts in any Unicode normal form.
+trailing non-alphanumerics.  Pieces and list entries are put in NFC,
+so a text gives the same counts in any Unicode normal form.
 """
 
 from __future__ import annotations
@@ -71,38 +71,39 @@ class Document:
         return self.lengths.shape[1]
 
 
-def _read_nfc(path) -> str:
-    """A resource file's text in the normal form the books are read in,
-    so its entries match the words they name; a leading byte-order mark
-    is dropped, or it would cling to the first entry."""
-    return unicodedata.normalize("NFC",
-                                 Path(path).read_text(encoding="utf-8-sig"))
+def _entry(word: str) -> str:
+    """A list entry in the form `read_piece` looks words up in."""
+    return unicodedata.normalize("NFC", word).lower()
 
 
 class StopwordList:
-    """Set of lowercase function words excluded by the non-stop measures."""
+    """Set of function words excluded by the non-stop measures; each is
+    stored NFC-normalized and lowercased, from a file or from code."""
 
     def __init__(self, words=()):
-        self.words = frozenset(w.lower() for w in words if w)
+        self.words = frozenset(_entry(w) for w in words if w)
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
     @classmethod
     def from_file(cls, path) -> "StopwordList":
-        text = _read_nfc(path)
+        # utf-8-sig: a leading byte-order mark would cling to the first entry
+        text = Path(path).read_text(encoding="utf-8-sig")
         return cls(line.strip() for line in text.splitlines())
 
 
 class LemmaLexicon:
-    """Map from lowercase surface form to its dictionary lemma.
+    """Map from surface form to its dictionary lemma; both are stored
+    NFC-normalized and lowercased, from a file or from code.
 
     Lookups fall back to the input form, so coverage gaps degrade to
     the identity mapping instead of failing.
     """
 
     def __init__(self, mapping=None):
-        self.mapping = dict(mapping or {})
+        self.mapping = {_entry(surface): _entry(lemma)
+                        for surface, lemma in dict(mapping or {}).items()}
 
     def lemma_of(self, normalized: str) -> str:
         return self.mapping.get(normalized, normalized)
@@ -110,7 +111,7 @@ class LemmaLexicon:
     @classmethod
     def from_file(cls, path) -> "LemmaLexicon":
         mapping = {}
-        text = _read_nfc(path)
+        text = Path(path).read_text(encoding="utf-8-sig")
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -120,7 +121,8 @@ class LemmaLexicon:
                 raise IngestionError(
                     f"{path}:{lineno}: expected 'surface<TAB>lemma', got {line!r}"
                 )
-            mapping[parts[0].lower()] = parts[1].lower()
+            mapping.pop(parts[0], None)  # the last line for a word wins
+            mapping[parts[0]] = parts[1]
         return cls(mapping)
 
 
@@ -142,14 +144,15 @@ def segment_sentences(text: str) -> list[str]:
 
 def read_piece(piece: str, stops: StopwordList,
                lexicon: LemmaLexicon) -> Token | None:
-    """The one definition of a word: a whitespace-free `piece` stripped
-    of leading and trailing non-alphanumerics, looked up lowercased in
+    """The one definition of a word: a whitespace-free `piece` in NFC,
+    so `len(surface)` counts the same in any normal form, stripped of
+    leading and trailing non-alphanumerics, and looked up lowercased in
     the stopword list and the lemma lexicon.  None when nothing is left.
 
     A segment kept by `segment_sentences` has a word character, which no
     strip removes, so every kept sentence has at least one word.
     """
-    surface = _EDGE_STRIP_RE.sub("", piece)
+    surface = _EDGE_STRIP_RE.sub("", unicodedata.normalize("NFC", piece))
     if not surface:
         return None
     normalized = surface.lower()
@@ -160,7 +163,7 @@ def read_piece(piece: str, stops: StopwordList,
 
 def tokenize(raw_sentence: str, stops: StopwordList | None = None,
              lexicon: LemmaLexicon | None = None) -> list[Token]:
-    """Whitespace-split, then `read_piece` each piece; internal
+    """Whitespace-split, then `read_piece` each piece (in NFC); internal
     apostrophes and hyphens survive.  Without `stops` no word is a
     stopword; without `lexicon` every lemma is the normalized form."""
     stops = StopwordList() if stops is None else stops
@@ -186,7 +189,7 @@ def sentence_lengths(text: str, stops: StopwordList,
     # sentence i begins at rows[starts[i]]; every sentence has a word, so
     # the starts strictly increase, as reduceat needs
     starts = []
-    for raw in segment_sentences(unicodedata.normalize("NFC", text)):
+    for raw in segment_sentences(text):
         starts.append(len(rows))
         rows += map(code, raw.split())
     tokens = [read_piece(p, stops, lexicon) for p in row_of]
@@ -211,7 +214,7 @@ def sentence_tokens(text: str, stops: StopwordList,
     column i of `sentence_lengths(text, stops, lexicon)` is computed
     from entry i."""
     return [tuple(tokenize(raw, stops, lexicon))
-            for raw in segment_sentences(unicodedata.normalize("NFC", text))]
+            for raw in segment_sentences(text)]
 
 
 def document_from_text(doc_id: str, text: str, stops: StopwordList,

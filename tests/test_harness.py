@@ -778,6 +778,9 @@ class TestConfigValidation:
         ("--stopwords", "stopwords_path", "latin1.txt", b"caf\xe9\n"),
         ("--lemmas", "lemmas_path", "latin1.tsv", b"caf\xe9\tcafe\n"),
         ("--lemmas", "lemmas_path", "malformed.tsv", b"went\tgo\nran\n"),
+        # "" names no file: it is not a request for the bundled list
+        ("--stopwords", "stopwords_path", "", None),
+        ("--lemmas", "lemmas_path", "", None),
     ])
     def test_bad_resource_file_exits_2_before_reading_a_book(
             self, flag, field, name, content, small_corpus_dir, tmp_path,
@@ -786,7 +789,7 @@ class TestConfigValidation:
             raise AssertionError("a book was read")
 
         monkeypatch.setattr(textpipe, "load_document", no_reading)
-        path = tmp_path / name
+        path = tmp_path / name if name else ""
         if content is not None:
             path.write_bytes(content)
         out = tmp_path / "out"
@@ -819,6 +822,28 @@ class TestConfigValidation:
         assert errors == [
             f"error: cannot write --out {str(tmp_path / out)!r}: "
             f"{tmp_path / 'afile'} is not a writable directory"]
+
+    @pytest.mark.parametrize("empty", ["input_dir", "--out"])
+    def test_empty_path_exits_2_before_reading_a_book(
+            self, empty, small_corpus_dir, tmp_path, monkeypatch, caplog):
+        # an empty path would name the working directory: here a directory
+        # of books, which a run would analyze or write its output into
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a book was read")
+
+        for book in small_corpus_dir.glob("*.txt"):
+            (tmp_path / book.name).write_bytes(book.read_bytes())
+        before = _tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(textpipe, "load_document", no_reading)
+        books, out = (("", str(tmp_path / "out")) if empty == "input_dir"
+                      else (str(small_corpus_dir), ""))
+        code = cli_main(["analyze", books, "--out", out])
+        assert code == 2
+        assert _tree(tmp_path) == before
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"error: {empty} must not be empty"]
 
     def test_bad_resource_file_leaves_used_directory_as_it_was(
             self, small_corpus_dir, tmp_path):

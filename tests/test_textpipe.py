@@ -1,7 +1,9 @@
 import re
 import string
+import tempfile
 import tracemalloc
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +294,48 @@ def test_canonically_equivalent_text_gives_the_same_array(text, form):
     assert np.array_equal(
         sentence_lengths(other, _PROPERTY_STOPS, _PROPERTY_LEMMAS),
         sentence_lengths(same, _PROPERTY_STOPS, _PROPERTY_LEMMAS))
+    # every entry point reads a word in one form, not only the array
+    assert (sentence_tokens(other, _PROPERTY_STOPS, _PROPERTY_LEMMAS)
+            == sentence_tokens(same, _PROPERTY_STOPS, _PROPERTY_LEMMAS))
+    assert (tokenize(other, _PROPERTY_STOPS, _PROPERTY_LEMMAS)
+            == tokenize(same, _PROPERTY_STOPS, _PROPERTY_LEMMAS))
+
+
+_ACCENTED = ["café", "naïve", "résumé", "über", "façade", "señor",
+             "ångström", "eyes", "ran"]
+
+
+@st.composite
+def _spellings(draw):
+    """An accented word in random case, in NFC or NFD."""
+    word = "".join(c.upper() if draw(st.booleans()) else c
+                   for c in draw(st.sampled_from(_ACCENTED)))
+    return unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), word)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stopwords=st.lists(_spellings(), max_size=4),
+       lemmas=st.lists(st.tuples(_spellings(), _spellings()), max_size=4),
+       sentences=st.lists(st.lists(_spellings(), min_size=1, max_size=6),
+                          min_size=1, max_size=4))
+def test_lists_built_in_code_match_lists_read_from_files(stopwords, lemmas,
+                                                          sentences):
+    text = " ".join(" ".join(words) + "." for words in sentences)
+    in_code = (StopwordList(stopwords), LemmaLexicon(dict(lemmas)))
+    with tempfile.TemporaryDirectory() as tmp:
+        stops_path = Path(tmp, "stops.txt")
+        lemmas_path = Path(tmp, "lemmas.tsv")
+        stops_path.write_text("".join(f"{w}\n" for w in stopwords),
+                              encoding="utf-8")
+        lemmas_path.write_text("".join(f"{s}\t{l}\n" for s, l in lemmas),
+                               encoding="utf-8")
+        from_files = (StopwordList.from_file(stops_path),
+                      LemmaLexicon.from_file(lemmas_path))
+    assert in_code[0].words == from_files[0].words
+    assert in_code[1].mapping == from_files[1].mapping
+    assert np.array_equal(sentence_lengths(text, *in_code),
+                          sentence_lengths(text, *from_files))
+    assert sentence_tokens(text, *in_code) == sentence_tokens(text, *from_files)
 
 
 class TestResourceLoading:
@@ -304,9 +348,12 @@ class TestResourceLoading:
 
     def test_lexicon_file(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
-        path.write_text("heard\thear\neyes\teye\n", encoding="utf-8")
+        path.write_text("heard\thear\neyes\teye\nwas\tbe\nWas\tis\nwas\tam\n",
+                        encoding="utf-8")
         lex = LemmaLexicon.from_file(path)
         assert lex.lemma_of("heard") == "hear"
+        # one word in two cases: the last line wins
+        assert lex.lemma_of("was") == "am"
         assert lex.lemma_of("unknown") == "unknown"
 
     def test_leading_byte_order_mark_is_ignored(self, tmp_path):
