@@ -2,14 +2,14 @@
 Kendall's tau-b, Goodman-Kruskal gamma, Spearman's rho, and the
 least-squares linear map between series.
 
-Rank-test p-values use the standard large-sample normal (or t)
-approximations; below n = 10 they switch to exact enumeration over all
-permutations of one argument.
+Each rank test computes its p-value one way at every n: the normal
+approximation for tau-b and gamma, and Student's t with n - 2 degrees of
+freedom for rho.  These are large-sample approximations, so at small n
+the p-values are approximate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -18,8 +18,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import DegenerateInputError
-
-EXACT_PVALUE_BELOW_N = 10
 
 _LN_DBL_MIN = math.log(sys.float_info.min)
 _LN_GAMMA_HALF = 0.5 * math.log(math.pi)
@@ -278,54 +276,6 @@ def _concordance(rx: RankTable, ry: RankTable):
     return c, d, n0, tx, ty
 
 
-def _exact_rank_pvalues(rx: RankTable, ry: RankTable):
-    """Exact two-sided p-values for tau-b, gamma and rho of two rank
-    tables, by enumerating every permutation of y.  Only feasible for
-    small n."""
-    return _enumerate_rank_pvalues(tuple(rx.dense.tolist()),
-                                   tuple(ry.dense.tolist()))
-
-
-@lru_cache(maxsize=64)
-def _enumerate_rank_pvalues(x_dense: tuple, y_dense: tuple):
-    """_exact_rank_pvalues from the two series' dense ranks, which fix
-    their multiplicities and midranks.  Memoized on those ranks, so the
-    three tests of one pair enumerate once, from tables or from arrays."""
-    n = len(x_dense)
-    x, y = np.array(x_dense), np.array(y_dense)
-    x_counts, y_counts = np.bincount(x), np.bincount(y)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    yp = y[perms]
-    conc = np.zeros(perms.shape[0], dtype=np.int64)
-    disc = np.zeros(perms.shape[0], dtype=np.int64)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            sx = np.sign(x[i] - x[j])
-            if sx == 0:
-                continue
-            sy = np.sign(yp[:, i] - yp[:, j])
-            prod = sx * sy
-            conc += prod > 0
-            disc += prod < 0
-    n0 = n * (n - 1) // 2
-    denom_tau = math.sqrt((n0 - _pairs(x_counts)) * (n0 - _pairs(y_counts)))
-    taus = (conc - disc) / denom_tau
-    cd = conc + disc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gammas = np.where(cd > 0, (conc - disc) / np.where(cd > 0, cd, 1), 0.0)
-
-    mx = _midranks(x, x_counts) - (n + 1) / 2
-    my = _midranks(y, y_counts) - (n + 1) / 2
-    norm = math.sqrt(float(np.dot(mx, mx)) * float(np.dot(my, my)))
-    rhos = (my[perms] @ mx) / norm
-
-    def pval(stats):
-        obs = stats[0]  # identity permutation comes first
-        return float(np.mean(np.abs(stats) >= abs(obs) - 1e-12))
-
-    return pval(taus), pval(gammas), pval(rhos)
-
-
 def _lgamma_half_step(a: float) -> float:
     """ln Gamma(a + 1/2) - ln Gamma(a); an asymptotic series for large a,
     where the difference of two lgamma calls would cancel."""
@@ -419,10 +369,7 @@ def kendall_tau(x, y, threshold: float = 0.01) -> RankTestResult:
     if tx == n0 or ty == n0:
         raise DegenerateInputError("all-tied input to kendall_tau")
     tau = (c - d) / math.sqrt((n0 - tx) * (n0 - ty))
-    if rx.size < EXACT_PVALUE_BELOW_N:
-        p, _, _ = _exact_rank_pvalues(rx, ry)
-    else:
-        p = _tau_normal_pvalue(c, d, rx.size, rx.tie_sums, ry.tie_sums)
+    p = _tau_normal_pvalue(c, d, rx.size, rx.tie_sums, ry.tie_sums)
     return RankTestResult(statistic=tau, p_value=p,
                           rejected=bool(p < threshold))
 
@@ -435,13 +382,10 @@ def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
     if c + d == 0:
         raise DegenerateInputError("all pairs tied: gamma undefined")
     gamma = (c - d) / (c + d)
-    n = rx.size
-    if n < EXACT_PVALUE_BELOW_N:
-        _, p, _ = _exact_rank_pvalues(rx, ry)
-    elif abs(gamma) >= 1.0:
+    if abs(gamma) >= 1.0:
         p = 0.0
     else:
-        z = gamma * math.sqrt((c + d) / (n * (1.0 - gamma * gamma)))
+        z = gamma * math.sqrt((c + d) / (rx.size * (1.0 - gamma * gamma)))
         p = math.erfc(abs(z) / math.sqrt(2.0))
     return RankTestResult(statistic=float(gamma), p_value=p,
                           rejected=bool(p < threshold))
@@ -449,13 +393,14 @@ def goodman_kruskal_gamma(x, y, threshold: float = 0.01) -> RankTestResult:
 
 def spearman(x, y, threshold: float = 0.01) -> RankTestResult:
     """Pearson correlation of mid-ranks; p-value from the t
-    approximation with n - 2 degrees of freedom.  Takes two arrays or
-    their tables."""
+    approximation with n - 2 degrees of freedom, and 1 at n = 2, where
+    two points leave the t test no degree of freedom and every order of
+    y gives |rho| = 1.  Takes two arrays or their tables."""
     rx, ry = _table_pair(x, y)
     rho = _pearson(rx.midranks, ry.midranks)
     n = rx.size
-    if n < EXACT_PVALUE_BELOW_N:
-        _, _, p = _exact_rank_pvalues(rx, ry)
+    if n == 2:
+        p = 1.0
     elif abs(rho) >= 1.0:
         p = 0.0
     else:

@@ -292,11 +292,19 @@ def summarize(reports, skipped, config: AnalysisConfig) -> CorpusSummary:
     )
 
 
+def _path(name, path) -> Path:
+    """path as a Path; an empty path, which Path reads as the working
+    directory, is a ConfigError."""
+    if not os.fspath(path):
+        raise ConfigError(f"{name} must not be empty")
+    return Path(path)
+
+
 def analyze_corpus(directory, config: AnalysisConfig
                    ) -> tuple[CorpusSummary, list[BookReport]]:
+    directory = _path("directory", directory)
     # a bad resource file ends the run here, before any book is read
     _resources(config.stopwords_path, config.lemmas_path)
-    directory = Path(directory)
     paths = sorted(p for p in directory.glob("*.txt") if p.is_file())
     if not paths:
         raise IngestionError(f"no .txt files found in {directory}")
@@ -524,15 +532,16 @@ def emit_reports(summary: CorpusSummary, reports, out_dir,
     a fresh run writes for `formats`.
 
     `formats` is a non-empty sequence of "json" and "csv"; anything else
-    raises ValueError before any file is rendered or touched."""
+    raises ValueError, and an empty `out_dir` ConfigError, before any file
+    is rendered or touched."""
     if not formats or not set(formats) <= {"json", "csv"}:
         raise ValueError("formats must be a non-empty sequence of 'json' "
                          f"and 'csv', got {formats!r}")
+    out_dir = _path("out_dir", out_dir)
     files = {}
     for fmt in formats:
         files.update(_render(summary, reports, fmt))
 
-    out_dir = Path(out_dir)
     books_dir = out_dir / "books"
     try:
         books_dir.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,8 @@ boundary.  Segmentation is one `str.split` at '.', after '!' and '?'
 are replaced by '.'.  Abbreviation periods are deliberately not
 special-cased.  Within a sentence, whitespace separates pieces, and a
 piece is a word when something is left after stripping its leading and
-trailing non-alphanumerics.  Pieces and list entries are put in NFC,
+trailing non-alphanumerics, but for the combining marks after its last
+alphanumeric, which stay.  Pieces and list entries are put in NFC,
 so a text gives the same counts in any Unicode normal form.
 """
 
@@ -27,7 +28,8 @@ from .exceptions import IngestionError
 
 # alphanumeric, underscore excluded
 _WORD_CHAR_RE = re.compile(r"[^\W_]", re.UNICODE)
-_EDGE_STRIP_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
+# a piece's first through last alphanumeric
+_CORE_RE = re.compile(r"[^\W_](?:.*[^\W_])?", re.UNICODE | re.DOTALL)
 
 
 class MeasureKind(Enum):
@@ -148,13 +150,22 @@ def read_piece(piece: str, stops: StopwordList,
     so `len(surface)` counts the same in any normal form, stripped of
     leading and trailing non-alphanumerics, and looked up lowercased in
     the stopword list and the lemma lexicon.  None when nothing is left.
+    The combining marks (Unicode category M) that follow the last kept
+    character stay with it: a mark is no alphanumeric, but a final vowel
+    sign or virama is part of its word.  A leading mark, which follows no
+    kept character, is stripped.
 
     A segment kept by `segment_sentences` has a word character, which no
     strip removes, so every kept sentence has at least one word.
     """
-    surface = _EDGE_STRIP_RE.sub("", unicodedata.normalize("NFC", piece))
-    if not surface:
+    text = unicodedata.normalize("NFC", piece)
+    core = _CORE_RE.search(text)
+    if core is None:
         return None
+    end = core.end()
+    while end < len(text) and unicodedata.category(text[end])[0] == "M":
+        end += 1
+    surface = text[core.start():end]
     normalized = surface.lower()
     return Token(surface=surface, normalized=normalized,
                  lemma=lexicon.lemma_of(normalized),

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import subprocess
@@ -167,42 +166,6 @@ class TestKendall:
             expected = (c - d) / math.sqrt((n0 - tx) * (n0 - ty))
             assert kendall_tau(x, y).statistic == expected
 
-    def test_exact_small_n_pvalue(self):
-        # n=5, strictly monotone: only the 2 extreme permutations reach |tau|=1
-        r = kendall_tau([1, 2, 3, 4, 5], [2, 4, 6, 8, 10])
-        assert r.statistic == 1.0
-        assert r.p_value == pytest.approx(2 / 120)
-
-    @pytest.mark.parametrize("as_tables", [True, False],
-                             ids=["tables", "arrays"])
-    @pytest.mark.parametrize("n", [3, 6, 9])
-    def test_exact_pvalues_enumerated_once_per_pair_of_tables(
-            self, n, as_tables, monkeypatch):
-        rng = np.random.default_rng(n)
-        x, y = rng.integers(0, 4, size=n), rng.integers(0, 4, size=n)
-        x[:2], y[:2] = (0, 1), (0, 1)  # neither series all tied
-        permutations = itertools.permutations
-        enumerations = []
-
-        def spy(*args):
-            enumerations.append(args)
-            return permutations(*args)
-
-        # arrays are ranked afresh by each test, and must still share one
-        # enumeration
-        args = (rank_table(x), rank_table(y)) if as_tables else (x, y)
-        correlation._enumerate_rank_pvalues.cache_clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(itertools, "permutations", spy)
-            got = (kendall_tau(*args).p_value,
-                   goodman_kruskal_gamma(*args).p_value,
-                   spearman(*args).p_value)
-        assert len(enumerations) == 1
-        # the unmemoized enumeration, on freshly built tables
-        assert got == correlation._enumerate_rank_pvalues.__wrapped__(
-            tuple(rank_table(x).dense.tolist()),
-            tuple(rank_table(y).dense.tolist()))
-
     def test_large_n_rejects_strong_association(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=500)
@@ -280,7 +243,8 @@ class TestSpearman:
             st.floats(-1e6, 1e6),
             st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0, 1e300])),
             min_size=10, max_size=80),
-        # below n = 10: the exact p-value path
+        # a few points, down to n = 2, where rho's t test has no degree
+        # of freedom
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                  min_size=2, max_size=7),
         # a constant x
@@ -592,6 +556,21 @@ class TestAgainstScipy:
             assert kendall_tau(x, y).statistic == pytest.approx(
                 expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n,high", [(3, 4), (9, 4), (500, 8),
+                                        (3000, 30)])
+    def test_kendall_tau_pvalue(self, n, high):
+        # the normal approximation at every n, a few points included; a
+        # strong, a weaker and no dependence
+        rng = np.random.default_rng(n)
+        x = rng.integers(1, high, size=n)
+        for y in (x + rng.integers(0, high, size=n),
+                  x + rng.integers(0, 3 * high, size=n),
+                  rng.integers(1, high, size=n)):
+            expected = scipy.stats.kendalltau(
+                x, y, variant="b", method="asymptotic").pvalue
+            assert kendall_tau(x, y).p_value == pytest.approx(
+                expected, rel=1e-11, abs=0)
+
     def test_spearman_rho(self, tied_pairs):
         for x, y in tied_pairs:
             expected = scipy.stats.spearmanr(x, y).statistic
@@ -631,7 +610,7 @@ class TestRankTable:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [10, 11, 50, 3000])
+    @pytest.mark.parametrize("n", [3, 4, 9, 10, 11, 50, 3000])
     def test_spearman_pvalue_is_scipy_t_sf(self, n):
         rng = np.random.default_rng(n)
         x = rng.integers(1, 20, size=n)
@@ -641,6 +620,15 @@ class TestRankTable:
         t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         assert result.p_value == pytest.approx(
             2.0 * scipy.stats.t.sf(abs(t_stat), n - 2), rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("y", [[0, 1], [1, 0], [5, 5.5]])
+    def test_spearman_pvalue_is_1_at_two_points(self, y):
+        # two points leave the t test no degree of freedom; rho rounds to
+        # just below 1 on [(0, 0), (1, 1)]
+        result = spearman([0, 1], y)
+        assert abs(result.statistic) == pytest.approx(1.0, abs=1e-15)
+        assert result.p_value == 1.0
+        assert not result.rejected
 
     def test_cli_import_leaves_scipy_stats_out(self):
         code = ("import sys, sentlen.cli; print(sorted(m for m in sys.modules "
@@ -679,7 +667,7 @@ class TestRankTableArguments:
             st.one_of(st.sampled_from([-7.5, 0.25, 0.0]),
                       st.floats(-1e6, 1e6))),
             min_size=10, max_size=60),
-        # below n = 10: exact p-values, over all n! orders of y
+        # a few points, down to n = 2
         st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 2.0, 2.5]),
                            st.integers(0, 3)), min_size=2, max_size=7)))
     def test_table_equals_array(self, pairs):

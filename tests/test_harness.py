@@ -234,6 +234,20 @@ class TestAnalyzeCorpus:
         with pytest.raises(IngestionError):
             analyze_corpus(tmp_path, AnalysisConfig())
 
+    def test_empty_path_refused_before_reading(
+            self, small_corpus_dir, tmp_path, monkeypatch):
+        # "" would name the working directory: here a directory of books
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        for book in small_corpus_dir.glob("*.txt"):
+            (tmp_path / book.name).write_bytes(book.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(textpipe, "load_document", no_reading)
+        monkeypatch.setattr(harness, "_load", no_reading)
+        with pytest.raises(ConfigError, match="directory must not be empty"):
+            analyze_corpus("", AnalysisConfig(stopwords_path="stops.txt"))
+
     def test_bad_file_recorded_not_fatal(self, tmp_path, small_corpus_dir):
         for p in small_corpus_dir.glob("*.txt"):
             (tmp_path / p.name).write_text(p.read_text(encoding="utf-8"),
@@ -305,6 +319,21 @@ class TestHurstLengthCorrelation:
 
 
 class TestEmitReports:
+    def test_empty_out_dir_refused_before_writing(self, small_results,
+                                                  tmp_path, monkeypatch):
+        # "" would name the working directory, and the cleanup of stale
+        # output would then remove book files there that no run wrote
+        summary, reports = small_results
+        (tmp_path / "books").mkdir()
+        (tmp_path / "books" / "mine.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "summary.csv").write_text("kept\n", encoding="utf-8")
+        before = _tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for fmt in ("json", "csv"):
+            with pytest.raises(ConfigError, match="out_dir must not be empty"):
+                emit_reports(summary, reports, "", formats=(fmt,))
+        assert _tree(tmp_path) == before
+
     def test_csv_file_contract(self, small_results, tmp_path):
         summary, reports = small_results
         out = tmp_path / "out"

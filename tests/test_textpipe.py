@@ -1,3 +1,4 @@
+import itertools
 import re
 import string
 import tempfile
@@ -77,6 +78,18 @@ class TestTokenize:
 
     def test_punctuation_only_pieces_dropped(self):
         assert [t.surface for t in tokenize('"--" hello -- "')] == ["hello"]
+
+    @pytest.mark.parametrize("piece,surface", [
+        ("x\u0302", "x\u0302"),             # a mark with no precomposed form
+        ("हिन्दी", "हिन्दी"),                   # a final vowel sign (Mc)
+        ("தமிழ்", "தமிழ்"),                     # a final virama (Mn)
+        ("a\u0301\u0301", "\u00e1\u0301"),  # NFC takes the first acute only
+        ("(x\u0302),", "x\u0302"),
+        ("\u0302x.", "x"),                   # a leading orphan mark
+        ("x!\u0302", "x"),                   # a mark after stripped punctuation
+    ])
+    def test_marks_after_the_last_kept_character_stay(self, piece, surface):
+        assert [t.surface for t in tokenize(piece)] == [surface]
 
 
 class TestStopwords:
@@ -299,6 +312,45 @@ def test_canonically_equivalent_text_gives_the_same_array(text, form):
             == sentence_tokens(same, _PROPERTY_STOPS, _PROPERTY_LEMMAS))
     assert (tokenize(other, _PROPERTY_STOPS, _PROPERTY_LEMMAS)
             == tokenize(same, _PROPERTY_STOPS, _PROPERTY_LEMMAS))
+
+
+#: Mn (two accents, two viramas), Mc (two Devanagari vowel signs) and Me
+#: (an enclosing circle): the three categories of combining mark
+_MARKS = "\u0301\u0302\u093f\u0940\u094d\u0bcd\u20dd"
+_MARKED_PIECES = st.text(alphabet="xeaहनதம" + _MARKS + ",'-_()\"",
+                         min_size=1, max_size=10)
+
+
+def _is_mark(char: str) -> bool:
+    return unicodedata.category(char).startswith("M")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sentences=st.lists(st.lists(_MARKED_PIECES, min_size=1, max_size=6),
+                          min_size=1, max_size=4))
+def test_a_word_keeps_the_marks_after_its_last_character(sentences):
+    for piece in itertools.chain.from_iterable(sentences):
+        text = unicodedata.normalize("NFC", piece)
+        kept = [i for i, char in enumerate(text) if char.isalnum()]
+        tokens = tokenize(piece)
+        if not kept:
+            assert tokens == []
+            continue
+        first, last = kept[0], kept[-1]
+        marks = len(list(itertools.takewhile(_is_mark, text[last + 1:])))
+        (token,) = tokens
+        assert token.surface == text[first:last + 1 + marks]
+        assert len(token.surface) == last - first + 1 + marks
+    # the array, the inspection helper and tokenize read each word alike
+    text = " ".join(" ".join(words) + "." for words in sentences)
+    lengths = sentence_lengths(text, _PROPERTY_STOPS, _PROPERTY_LEMMAS)
+    words = [tuple(tokenize(" ".join(w), _PROPERTY_STOPS, _PROPERTY_LEMMAS))
+             for w in sentences]
+    words = [w for w in words if w]
+    assert sentence_tokens(text, _PROPERTY_STOPS, _PROPERTY_LEMMAS) == words
+    assert lengths.tolist() == (
+        np.array([_reference_lengths(w) for w in words]).T.tolist()
+        if words else [[]] * len(CANONICAL_ORDER))
 
 
 _ACCENTED = ["café", "naïve", "résumé", "über", "façade", "señor",
