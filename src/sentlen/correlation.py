@@ -249,10 +249,12 @@ def concordance_counts(x, y) -> tuple[int, int, int, int, int]:
     return _concordance(*_table_pair(x, y, min_size=0))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _concordance(rx: RankTable, ry: RankTable):
     """concordance_counts of two tables, keyed on their identity; each key
-    holds its tables, so no other table can take their ids while cached."""
+    holds its tables, so no other table can take their ids while cached.
+    One entry: its only hit is gamma reading the pair tau just counted,
+    and more would keep a finished book's tables alive."""
     n = rx.size
     n0 = n * (n - 1) // 2
     kx, ky = rx.counts.size, ry.counts.size

@@ -248,7 +248,9 @@ def hurst_length_correlation(reports) -> float:
 
 
 def _histogram(counts, bin_width):
-    bins = np.bincount(np.asarray(counts, dtype=np.int64) // bin_width)
+    # floor division in Python ints: any width, even one past int64, works
+    bins = np.bincount(np.array([c // bin_width for c in counts],
+                                dtype=np.int64))
     return tuple((b * bin_width, int(c)) for b, c in enumerate(bins))
 
 
@@ -348,57 +350,51 @@ def _jnum(x):
     return float(format(float(x), ".6g"))
 
 
-#: One entry per comparison field, in book-CSV column order: (attribute
-#: path on ComparisonResult, key path in the book JSON record, book-CSV
-#: column or None).  The JSON record also holds "pair"; the CSV row starts
-#: with measure_x, measure_y.
+#: One entry per book-CSV column after measure_x, measure_y, in order:
+#: (attribute path on ComparisonResult, column).
 _COMPARISON_FIELDS = (
-    ("pearson", "pearson_r", "pearson_r"),
-    ("spearman.statistic", "spearman.statistic", "spearman_rho"),
-    ("spearman.p_value", "spearman.p_value", "spearman_p"),
-    ("spearman.rejected", "spearman.rejected", None),
-    ("kendall.statistic", "kendall.statistic", "kendall_tau"),
-    ("kendall.p_value", "kendall.p_value", "kendall_p"),
-    ("kendall.rejected", "kendall.rejected", None),
-    ("gamma.statistic", "gamma.statistic", "gamma"),
-    ("gamma.p_value", "gamma.p_value", "gamma_p"),
-    ("gamma.rejected", "gamma.rejected", None),
-    ("ks_plain.kappa", "ks_plain.kappa", "ks_plain_kappa"),
-    ("ks_plain.p_value", "ks_plain.p_value", "ks_plain_p"),
-    ("ks_plain.accepted", "ks_plain.accepted", "ks_plain_accepted"),
-    ("ks_mapped.kappa", "ks_mapped.kappa", "ks_mapped_kappa"),
-    ("ks_mapped.p_value", "ks_mapped.p_value", "ks_mapped_p"),
-    ("ks_mapped.accepted", "ks_mapped.accepted", "ks_mapped_accepted"),
-    ("linear_map.alpha", "linear_map.alpha", "map_alpha"),
-    ("linear_map.beta", "linear_map.beta", "map_beta"),
+    ("pearson", "pearson_r"),
+    ("spearman.statistic", "spearman_rho"),
+    ("spearman.p_value", "spearman_p"),
+    ("kendall.statistic", "kendall_tau"),
+    ("kendall.p_value", "kendall_p"),
+    ("gamma.statistic", "gamma"),
+    ("gamma.p_value", "gamma_p"),
+    ("ks_plain.kappa", "ks_plain_kappa"),
+    ("ks_plain.p_value", "ks_plain_p"),
+    ("ks_plain.accepted", "ks_plain_accepted"),
+    ("ks_mapped.kappa", "ks_mapped_kappa"),
+    ("ks_mapped.p_value", "ks_mapped_p"),
+    ("ks_mapped.accepted", "ks_mapped_accepted"),
+    ("linear_map.alpha", "map_alpha"),
+    ("linear_map.beta", "map_beta"),
 )
 
-#: HurstEstimate fields of each measure's entry in the book JSON record
-_HURST_FIELDS = ("h", "intercept", "fit_r2", "h_shuffled")
+#: the one field whose JSON key is not its name
+_JSON_KEYS = {"pearson": "pearson_r"}
 
 
-def _comparison_record(c: ComparisonResult) -> dict:
-    record = {"pair": [c.pair[0].label, c.pair[1].label]}
-    for attr, key, _ in _COMPARISON_FIELDS:
-        group, _, leaf = key.rpartition(".")
-        node = record.setdefault(group, {}) if group else record
-        value = operator.attrgetter(attr)(c)
-        node[leaf] = value if isinstance(value, bool) else _jnum(value)
-    return record
+def _json_value(x):
+    """The JSON form of an analysis result: a dataclass is an object of
+    its fields, a MeasureKind its label, a tuple a list, a dict an object
+    of serialized keys and values, and a float carries 6 significant
+    digits; a bool, int, str or None is written as it is."""
+    if dataclasses.is_dataclass(x):
+        return {_JSON_KEYS.get(f.name, f.name): _json_value(getattr(x, f.name))
+                for f in dataclasses.fields(x)}
+    if isinstance(x, MeasureKind):
+        return x.label
+    if isinstance(x, tuple):
+        return [_json_value(v) for v in x]
+    if isinstance(x, dict):
+        return {_json_value(k): _json_value(v) for k, v in x.items()}
+    if isinstance(x, float):
+        return _jnum(x)
+    return x
 
 
 def _book_record(rep: BookReport) -> dict:
-    return {
-        "book_id": rep.book_id,
-        "sentence_count": rep.sentence_count,
-        "comparisons": [_comparison_record(c) for c in rep.comparisons],
-        "hurst": {
-            k.label: {name: _jnum(getattr(est, name))
-                      for name in _HURST_FIELDS}
-            for k, est in rep.hurst.items()
-        },
-        "max_abs_delta_h": _jnum(rep.max_abs_delta_h),
-    }
+    return _json_value(rep)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -427,7 +423,7 @@ def _json_text(record: dict) -> str:
 
 _BOOK_CSV_HEADER = [
     "measure_x", "measure_y",
-    *(column for _, _, column in _COMPARISON_FIELDS if column),
+    *(column for _, column in _COMPARISON_FIELDS),
     "hurst_x", "hurst_y", "hurst_shuffled_x", "hurst_shuffled_y",
     "abs_delta_h",
 ]
@@ -440,7 +436,7 @@ def _book_csv_rows(rep: BookReport):
         yield [
             c.pair[0].label, c.pair[1].label,
             *(_fmt(operator.attrgetter(attr)(c))
-              for attr, _, column in _COMPARISON_FIELDS if column),
+              for attr, _ in _COMPARISON_FIELDS),
             _fmt(hx.h), _fmt(hy.h), _fmt(hx.h_shuffled), _fmt(hy.h_shuffled),
             _fmt(abs(hx.h - hy.h)),
         ]
@@ -465,8 +461,7 @@ def _acceptance_rows(matrix):
 def _summary_record(summary: CorpusSummary) -> dict:
     return {
         "book_count": summary.book_count,
-        "skipped": [{"book_id": s.book_id, "reason": s.reason}
-                    for s in summary.skipped],
+        "skipped": _json_value(summary.skipped),
         "comparison_count": int(summary.r_values.size),
         "mean_pearson_r": _jnum(summary.r_values.mean())
         if summary.r_values.size else None,

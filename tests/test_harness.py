@@ -1,5 +1,7 @@
+import gc
 import json
 import textwrap
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +199,28 @@ class TestAnalyzeBook:
         assert sorted(id(s) if id(s) in expected else id(s.base)
                       for s in sorted_rows) == sorted(expected)
 
+    def test_finished_book_keeps_at_most_two_tables(self, tmp_path,
+                                                    monkeypatch):
+        # the concordance memo holds one pair, so at most the last pair's
+        # two tables outlive the book, not all six while the next is read
+        path = tmp_path / "book.txt"
+        path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
+        built = []
+        rank_table = correlation.rank_table
+
+        def record_table(values):
+            table = rank_table(values)
+            if table is not values:
+                built.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(correlation, "rank_table", record_table)
+        assert isinstance(analyze_book(path, AnalysisConfig()), BookReport)
+        gc.collect()
+        # the first six are the tables of the book's six series
+        assert len(built) >= 6
+        assert sum(ref() is not None for ref in built[:6]) <= 2
+
     def test_stopword_only_book_skipped_by_pearson(self, tmp_path):
         # its non-stopword series are all zero: ranking them raises nothing,
         # and the first pair that reads one fails in pearson
@@ -294,15 +318,23 @@ class TestAnalyzeCorpus:
             assert np.isnan(mat[3, 1])
             assert np.isnan(mat[2, 2])
 
-    def test_parallel_matches_serial(self, small_corpus_dir, small_results):
+    def test_parallel_matches_serial(self, small_corpus_dir, small_results,
+                                     tmp_path):
         serial_summary, serial_reports = small_results
         par_summary, par_reports = analyze_corpus(
             small_corpus_dir, AnalysisConfig(jobs=2))
         assert [r.book_id for r in par_reports] == [
             r.book_id for r in serial_reports]
-        assert par_summary.r_values == pytest.approx(serial_summary.r_values)
-        for a, b in zip(par_reports, serial_reports):
-            assert a.hurst == b.hurst
+        # the files, rendered from what the workers pickle back, are the
+        # serial run's byte for byte
+        formats = ("json", "csv")
+        emit_reports(serial_summary, serial_reports, tmp_path / "serial",
+                     formats=formats)
+        emit_reports(par_summary, par_reports, tmp_path / "parallel",
+                     formats=formats)
+        serial = _tree(tmp_path / "serial")
+        assert {p.rsplit(".", 1)[-1] for p in serial} == set(formats)
+        assert _tree(tmp_path / "parallel") == serial
 
 
 class TestHurstLengthCorrelation:
@@ -610,12 +642,28 @@ class TestOutputSchema:
             "book_id,reason\ntiny,only 4 sentences (floor 200)\n")
 
 
+def test_summary_json_lists_skipped_books(tmp_path):
+    out = _golden_outputs(tmp_path)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["skipped"] == [
+        {"book_id": "tiny", "reason": "only 4 sentences (floor 200)"}]
+
+
 def test_summarize_histogram_binning(small_results):
     summary, reports = small_results
     total = sum(count for _, count in summary.sentence_count_histogram)
     assert total == len(reports)
     widths = [b for b, _ in summary.sentence_count_histogram]
     assert widths == sorted(widths)
+
+
+def test_histogram_of_a_width_past_int64(small_results):
+    # every accepted width runs: one past int64 puts every book in bin 0
+    _, reports = small_results
+    summary = summarize(reports, [], AnalysisConfig(hist_bin_width=10**30))
+    assert summary.sentence_count_histogram == ((0, len(reports)),)
+    assert summarize([], [], AnalysisConfig(
+        hist_bin_width=10**30)).sentence_count_histogram == ()
 
 
 def _tree(out):
