@@ -370,9 +370,6 @@ _COMPARISON_FIELDS = (
     ("linear_map.beta", "map_beta"),
 )
 
-#: the one field whose JSON key is not its name
-_JSON_KEYS = {"pearson": "pearson_r"}
-
 
 def _json_value(x):
     """The JSON form of an analysis result: a dataclass is an object of
@@ -380,8 +377,8 @@ def _json_value(x):
     of serialized keys and values, and a float carries 6 significant
     digits; a bool, int, str or None is written as it is."""
     if dataclasses.is_dataclass(x):
-        return {_JSON_KEYS.get(f.name, f.name): _json_value(getattr(x, f.name))
-                for f in dataclasses.fields(x)}
+        return {"pearson_r" if f.name == "pearson" else f.name:
+                _json_value(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, MeasureKind):
         return x.label
     if isinstance(x, tuple):

@@ -325,6 +325,10 @@ class TestAnalyzeCorpus:
             small_corpus_dir, AnalysisConfig(jobs=2))
         assert [r.book_id for r in par_reports] == [
             r.book_id for r in serial_reports]
+        np.testing.assert_array_equal(par_summary.r_values,
+                                      serial_summary.r_values)
+        for a, b in zip(par_reports, serial_reports):
+            assert a.hurst == b.hurst
         # the files, rendered from what the workers pickle back, are the
         # serial run's byte for byte
         formats = ("json", "csv")
@@ -641,12 +645,39 @@ class TestOutputSchema:
         assert (out / "skipped.csv").read_text() == (
             "book_id,reason\ntiny,only 4 sentences (floor 200)\n")
 
-
-def test_summary_json_lists_skipped_books(tmp_path):
-    out = _golden_outputs(tmp_path)
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["skipped"] == [
-        {"book_id": "tiny", "reason": "only 4 sentences (floor 200)"}]
+    def test_summary_json(self, tmp_path):
+        out = _golden_outputs(tmp_path)
+        expected = textwrap.dedent("""\
+            {
+              "book_count": 1,
+              "comparison_count": 2,
+              "h_vs_length_r": null,
+              "ks_mapped_acceptance_pct": 66.6667,
+              "ks_plain_acceptance_pct": 100.0,
+              "mean_pearson_r": 0.743827,
+              "sentence_count_histogram": [
+                {
+                  "bin_start": 0,
+                  "count": 0
+                },
+                {
+                  "bin_start": 1000,
+                  "count": 0
+                },
+                {
+                  "bin_start": 2000,
+                  "count": 1
+                }
+              ],
+              "skipped": [
+                {
+                  "book_id": "tiny",
+                  "reason": "only 4 sentences (floor 200)"
+                }
+              ]
+            }
+            """)
+        assert (out / "summary.json").read_text() == expected
 
 
 def test_summarize_histogram_binning(small_results):
