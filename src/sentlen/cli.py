@@ -7,10 +7,9 @@ import dataclasses
 import logging
 import os
 import sys
-from pathlib import Path
 
 from .exceptions import ConfigError, SentlenError
-from .harness import AnalysisConfig, analyze_corpus, emit_reports
+from .harness import AnalysisConfig, _path, analyze_corpus, emit_reports
 
 log = logging.getLogger("sentlen")
 
@@ -65,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_out_dir(out) -> None:
     """Refuse an --out that is not, and cannot be made, a writable
-    directory; creates nothing."""
-    path = Path(out).absolute()
-    while not os.path.exists(path):
+    directory (a dangling link is not one); creates nothing."""
+    path = _path("--out", out).absolute()
+    while not os.path.lexists(path):
         path = path.parent
     if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
         raise ConfigError(
@@ -77,10 +76,6 @@ def _check_out_dir(out) -> None:
 def run_analyze(args) -> int:
     config = AnalysisConfig(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(AnalysisConfig)})
-    for name, path in (("input_dir", args.input_dir), ("--out", args.out)):
-        if not path:
-            # Path("") is the working directory, which a rerun would clean
-            raise ConfigError(f"{name} must not be empty")
     _check_out_dir(args.out)
     summary, reports = analyze_corpus(args.input_dir, config)
     written = emit_reports(summary, reports, args.out, formats=(args.format,))

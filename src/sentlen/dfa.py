@@ -64,6 +64,9 @@ def default_config(n: int, detrend_degree: int = 1,
         raise DegenerateInputError(
             f"series of length {n} too short for DFA (max window {max_window})"
         )
+    # past this many no step reaches 1, so the grid rounds to every size
+    num = min(num, 2 + math.ceil(
+        2 * max_window * math.log(max_window / min_window)))
     grid = np.geomspace(min_window, max_window, num)
     windows = tuple(sorted(set(int(round(m)) for m in grid)))
     if len(windows) < MIN_FIT_POINTS:

@@ -1,9 +1,10 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentlen import dfa
@@ -241,6 +242,43 @@ class TestCurve:
         except DegenerateInputError:
             return
         dfa_curve(np.arange(n, dtype=float), cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(12, 4000),
+           degree_and_min=st.integers(1, 3).flatmap(lambda d: st.tuples(
+               st.just(d), st.integers(d + 2, 64))),
+           max_fraction=st.floats(0, 0.25, exclude_min=True),
+           scale=st.floats(0, 3), shift=st.integers(-2, 2))
+    def test_grid_is_the_rounded_geomspace_at_any_num(
+            self, n, degree_and_min, max_fraction, scale, shift):
+        # default_config builds at most `clip` points; on either side of
+        # it the grid is the rounding of all `num` log-spaced points
+        degree, min_window = degree_and_min
+        lo = max(min_window, degree + 2)
+        hi = int(n * max_fraction)
+        assume(hi >= lo)
+        clip = 2 + math.ceil(2 * hi * math.log(hi / lo))
+        num = max(dfa.MIN_FIT_POINTS, round(scale * clip) + shift)
+        grid = np.geomspace(lo, hi, num)
+        expected = tuple(sorted(set(int(round(m)) for m in grid)))
+        kwargs = dict(detrend_degree=degree, min_window=min_window,
+                      max_fraction=max_fraction, num=num)
+        if len(expected) < dfa.MIN_FIT_POINTS:
+            with pytest.raises(DegenerateInputError):
+                default_config(n, **kwargs)
+        else:
+            assert default_config(n, **kwargs).window_sizes == expected
+
+    def test_grid_cost_is_bounded_by_the_series(self):
+        # a million points would round to the same 68 sizes
+        tracemalloc.start()
+        try:
+            cfg = default_config(300, num=10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert cfg.window_sizes == tuple(range(8, 76))
 
     def test_scale_equivariance_and_shift_invariance(self):
         rng = np.random.default_rng(3)

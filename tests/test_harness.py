@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import textwrap
 import weakref
 from fractions import Fraction
@@ -858,6 +859,14 @@ class TestConfigValidation:
         assert analyze_book(path, config) == analyze_book(
             path, AnalysisConfig(seed=1, dfa_points=6))
 
+    def test_huge_dfa_points_give_the_grid_of_every_size(self, tmp_path):
+        # both counts are past the clip of a 300-sentence book's grid
+        path = tmp_path / "book.txt"
+        path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
+        report = analyze_book(path, AnalysisConfig(dfa_points=10 ** 20))
+        assert isinstance(report, BookReport)
+        assert report == analyze_book(path, AnalysisConfig(dfa_points=10 ** 4))
+
     def test_real_numbers_are_kept_as_floats(self):
         config = AnalysisConfig(p_threshold=np.float32(0.25),
                                 dfa_max_fraction=Fraction(1, 5))
@@ -931,6 +940,28 @@ class TestConfigValidation:
             f"error: cannot write --out {str(tmp_path / out)!r}: "
             f"{tmp_path / 'afile'} is not a writable directory"]
 
+    @pytest.mark.parametrize("out", ["dangling", "dangling/out"])
+    def test_dangling_out_exits_2_before_reading_a_book(
+            self, out, small_corpus_dir, tmp_path, monkeypatch, caplog):
+        # _safe_analyze would turn a raise into a skipped book, so the
+        # calls are recorded instead
+        calls = []
+        monkeypatch.setattr(textpipe, "load_document",
+                            lambda *args, **kwargs: calls.append(args))
+        link, target = tmp_path / "dangling", tmp_path / "nowhere" / "target"
+        link.symlink_to(target)
+        code = cli_main(["analyze", str(small_corpus_dir), "--out",
+                         str(tmp_path / out)])
+        assert code == 2
+        assert calls == []
+        assert os.readlink(link) == str(target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling"]
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [
+            f"error: cannot write --out {str(tmp_path / out)!r}: "
+            f"{link} is not a writable directory"]
+
     @pytest.mark.parametrize("empty", ["input_dir", "--out"])
     def test_empty_path_exits_2_before_reading_a_book(
             self, empty, small_corpus_dir, tmp_path, monkeypatch, caplog):
@@ -951,7 +982,8 @@ class TestConfigValidation:
         assert _tree(tmp_path) == before
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
-        assert errors == [f"error: {empty} must not be empty"]
+        name = {"input_dir": "directory", "--out": "--out"}[empty]
+        assert errors == [f"error: {name} must not be empty"]
 
     def test_bad_resource_file_leaves_used_directory_as_it_was(
             self, small_corpus_dir, tmp_path):
