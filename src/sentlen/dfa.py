@@ -10,6 +10,7 @@ a log-log fit of F(m) against m.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +37,7 @@ class DfaConfig:
         if self.detrend_degree < 1:
             raise ValueError("detrend degree must be >= 1")
         ws = self.window_sizes
-        if list(ws) != sorted(set(ws)):
+        if not all(a < b for a, b in itertools.pairwise(ws)):
             raise ValueError("window sizes must be strictly ascending")
         if ws and ws[0] < self.detrend_degree + 2:
             raise ValueError(
@@ -64,11 +65,13 @@ def default_config(n: int, detrend_degree: int = 1,
         raise DegenerateInputError(
             f"series of length {n} too short for DFA (max window {max_window})"
         )
-    # past this many no step reaches 1, so the grid rounds to every size
-    num = min(num, 2 + math.ceil(
-        2 * max_window * math.log(max_window / min_window)))
-    grid = np.geomspace(min_window, max_window, num)
-    windows = tuple(sorted(set(int(round(m)) for m in grid)))
+    # from this many points on no step reaches 1: the grid is every size
+    if num >= 2 + math.ceil(
+            2 * max_window * math.log(max_window / min_window)):
+        windows = tuple(range(min_window, max_window + 1))
+    else:
+        grid = np.geomspace(min_window, max_window, num)
+        windows = tuple(sorted(set(int(round(m)) for m in grid)))
     if len(windows) < MIN_FIT_POINTS:
         # rounding merged the log-spaced sizes; no fit could follow
         raise DegenerateInputError(
@@ -107,6 +110,40 @@ def _detrend_basis(m: int, detrend_degree: int) -> np.ndarray:
     return basis
 
 
+#: windows of at most this many points are detrended by one product with
+#: the cached residual operator, while that product takes at most
+#: RESIDUAL_OPERATOR_MAX_WORK multiply-adds; larger ones by the basis
+#: twice, which takes fewer
+RESIDUAL_OPERATOR_MAX_WINDOW = 32
+RESIDUAL_OPERATOR_MAX_WORK = 2 ** 19
+
+
+@lru_cache(maxsize=64)
+def _residual_operator(m: int, detrend_degree: int) -> np.ndarray:
+    """The (m, m) operator I - P, P the least-squares projection onto the
+    polynomials of the given degree on m points, read-only: a window times
+    it is the window's residual.  Each entry is an exact ratio of integers
+    rounded once, so the operator is exactly symmetric."""
+    # Gram-Schmidt on the powers of twice the centered abscissa, scaled
+    # to stay in integers: each vector is orthogonal to the ones before
+    u = np.arange(m, dtype=object) * 2 - (m - 1)
+    vectors = []
+    for k in range(detrend_degree + 1):
+        v = u ** k
+        for q, q_norm in vectors:
+            v = q_norm * v - np.dot(v, q) * q
+        vectors.append((v, np.dot(v, v)))
+    # P = sum of q q^T / |q|^2, over one common denominator
+    den = math.lcm(*(q_norm for _, q_norm in vectors))
+    num = np.identity(m, dtype=object) * den
+    for q, q_norm in vectors:
+        num = num - np.multiply.outer(q, q) * (den // q_norm)
+    # int / int is correctly rounded
+    op = (num / den).astype(float)
+    op.setflags(write=False)
+    return op
+
+
 def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
     """RMS residual after per-window polynomial detrending at window size m."""
     profile = np.asarray(profile, dtype=float)
@@ -118,13 +155,17 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
     s = n // m
     windows = np.concatenate([profile[:s * m],
                               profile[n - s * m:]]).reshape(2 * s, m)
-    basis = _detrend_basis(m, detrend_degree)
-    # concatenate made a fresh copy: form the squared residual in it, and
-    # sum / size is np.mean's own arithmetic.  np.dot makes the same BLAS
-    # call as @, without matmul's dispatch
-    windows -= np.dot(np.dot(windows, basis), basis.T)
-    windows *= windows
-    return math.sqrt(np.add.reduce(windows, axis=None) / windows.size)
+    # np.dot makes the same BLAS call as @, without matmul's dispatch
+    if (m <= RESIDUAL_OPERATOR_MAX_WINDOW
+            and m * windows.size <= RESIDUAL_OPERATOR_MAX_WORK):
+        resid = np.dot(windows, _residual_operator(m, detrend_degree))
+    else:
+        basis = _detrend_basis(m, detrend_degree)
+        # concatenate made a fresh copy: form the residual in it
+        windows -= np.dot(np.dot(windows, basis), basis.T)
+        resid = windows
+    resid = resid.ravel()
+    return math.sqrt(np.dot(resid, resid) / resid.size)
 
 
 def dfa_curve(series, config: DfaConfig) -> np.ndarray:

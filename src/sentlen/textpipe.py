@@ -14,8 +14,10 @@ so a text gives the same counts in any Unicode normal form.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import re
+import types
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -78,12 +80,20 @@ def _entry(word: str) -> str:
     return unicodedata.normalize("NFC", word).lower()
 
 
+def _read_only(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is read-only")
+
+
 class StopwordList:
     """Set of function words excluded by the non-stop measures; each is
-    stored NFC-normalized and lowercased, from a file or from code."""
+    stored NFC-normalized and lowercased, from a file or from code.
+    Read-only, since ingest caches what each piece reads as."""
+
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, words=()):
-        self.words = frozenset(_entry(w) for w in words if w)
+        object.__setattr__(self, "words",
+                           frozenset(_entry(w) for w in words if w))
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -100,12 +110,23 @@ class LemmaLexicon:
     NFC-normalized and lowercased, from a file or from code.
 
     Lookups fall back to the input form, so coverage gaps degrade to
-    the identity mapping instead of failing.
+    the identity mapping instead of failing.  Read-only, like
+    `StopwordList`.
     """
 
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, mapping=None):
-        self.mapping = {_entry(surface): _entry(lemma)
-                        for surface, lemma in dict(mapping or {}).items()}
+        object.__setattr__(self, "mapping", types.MappingProxyType(
+            {_entry(surface): _entry(lemma)
+             for surface, lemma in dict(mapping or {}).items()}))
+
+    # a mapping proxy does not pickle; the dict it shows does
+    def __getstate__(self):
+        return dict(self.mapping)
+
+    def __setstate__(self, mapping):
+        object.__setattr__(self, "mapping", types.MappingProxyType(mapping))
 
     def lemma_of(self, normalized: str) -> str:
         return self.mapping.get(normalized, normalized)
@@ -172,6 +193,31 @@ def read_piece(piece: str, stops: StopwordList,
                  is_stop=normalized in stops)
 
 
+#: distinct pieces whose entries one process keeps, at about 160 bytes
+#: each; a full cache starts over, so it holds at most about 10 MB
+PIECE_CACHE_SIZE = 2 ** 16
+
+
+@functools.lru_cache(maxsize=1)
+def _piece_cache(stops: StopwordList, lexicon: LemmaLexicon) -> dict:
+    """piece -> its four entries (is a word, surface length, lemma length,
+    kept) under these lists, which are read-only, so an entry never goes
+    stale; the lists of the last call only."""
+    return {}
+
+
+def _entries(piece: str, stops: StopwordList, lexicon: LemmaLexicon,
+             cache: dict) -> tuple[int, int, int, int]:
+    """The four entries of a piece not in `cache`, which keeps them."""
+    token = read_piece(piece, stops, lexicon)
+    entries = ((0, 0, 0, 0) if token is None else
+               (1, len(token.surface), len(token.lemma), not token.is_stop))
+    if len(cache) >= PIECE_CACHE_SIZE:
+        cache.clear()
+    cache[piece] = entries
+    return entries
+
+
 def tokenize(raw_sentence: str, stops: StopwordList | None = None,
              lexicon: LemmaLexicon | None = None) -> list[Token]:
     """Whitespace-split, then `read_piece` each piece (in NFC); internal
@@ -191,9 +237,11 @@ def sentence_lengths(text: str, stops: StopwordList,
     One pass codes each sentence's pieces as they are split: a piece
     seen for the first time gets the next row of the measure table, and
     no piece is kept, only its row, an 8-byte reference to the one int
-    `row_of` holds for that row.  Each distinct piece is then read once
-    into what it adds to each measure; a sentence's lengths are the sums
-    of its pieces' entries."""
+    `row_of` holds for that row.  Each distinct piece's entries, what it
+    adds to each measure, come from a process-wide cache of at most
+    PIECE_CACHE_SIZE pieces, so a piece is read once per process, not
+    once per book; a sentence's lengths are the sums of its pieces'
+    entries."""
     row_of = collections.defaultdict(itertools.count().__next__)
     code = row_of.__getitem__
     rows = []
@@ -203,10 +251,10 @@ def sentence_lengths(text: str, stops: StopwordList,
     for raw in segment_sentences(text):
         starts.append(len(rows))
         rows += map(code, raw.split())
-    tokens = [read_piece(p, stops, lexicon) for p in row_of]
+    cache = _piece_cache(stops, lexicon)
+    cached = cache.get
     word, chars, lemma_chars, kept = np.array(
-        [(0, 0, 0, 0) if t is None
-         else (1, len(t.surface), len(t.lemma), not t.is_stop) for t in tokens],
+        [cached(p) or _entries(p, stops, lexicon, cache) for p in row_of],
         dtype=np.int64).reshape(-1, 4).T
     # in CANONICAL_ORDER
     columns = (word, chars, lemma_chars, kept, kept * chars, kept * lemma_chars)

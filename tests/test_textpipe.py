@@ -1,7 +1,11 @@
+import collections
 import itertools
+import pickle
 import re
 import string
+import sys
 import tempfile
+import threading
 import tracemalloc
 import unicodedata
 from pathlib import Path
@@ -23,6 +27,7 @@ from sentlen import (
     sentence_tokens,
     tokenize,
 )
+from sentlen import textpipe
 from sentlen.textpipe import (
     _WORD_CHAR_RE,
     document_from_text,
@@ -220,6 +225,132 @@ class TestLoadDocument:
                 tracemalloc.stop()
             assert peak <= 5 * len(text), (
                 f"{len(text)} characters: {peak / len(text):.1f} bytes each")
+
+
+class TestPieceCache:
+    TEXT = "The cat was here. A dog was not! The cat ran."
+
+    def test_each_pair_of_lists_gives_its_own_series(self):
+        # alternating lists in one process: no piece read under one pair
+        # is taken as read under another
+        plain = (StopwordList(), LemmaLexicon())
+        stopped = (StopwordList(["the", "was"]), LemmaLexicon())
+        lemmatized = (StopwordList(), LemmaLexicon({"was": "be"}))
+        series = {}
+        for _ in range(2):
+            for name, lists in (("plain", plain), ("stopped", stopped),
+                                ("lemmatized", lemmatized)):
+                lengths = sentence_lengths(self.TEXT, *lists)
+                assert lengths.T.tolist() == [
+                    _reference_lengths(tokens)
+                    for tokens in sentence_tokens(self.TEXT, *lists)]
+                assert series.setdefault(name, lengths.tolist()) == \
+                    lengths.tolist()
+        # N_Sw of "The cat was here": 4 words, 2 of them stopwords
+        assert series["plain"][3][0] == 4
+        assert series["stopped"][3][0] == 2
+        # N_l: "be" for "was" in the first two sentences
+        assert series["plain"][2] == [13, 10, 9]
+        assert series["lemmatized"][2] == [12, 9, 9]
+
+    def test_lists_are_read_only(self):
+        stops = StopwordList(["the"])
+        lexicon = LemmaLexicon({"was": "be"})
+        for mutate in (lambda: setattr(stops, "words", frozenset()),
+                       lambda: delattr(stops, "words"),
+                       lambda: setattr(stops, "extra", 1),
+                       lambda: stops.words.add("cat"),
+                       lambda: setattr(lexicon, "mapping", {}),
+                       lambda: delattr(lexicon, "mapping"),
+                       lambda: lexicon.mapping.clear()):
+            with pytest.raises(AttributeError):
+                mutate()
+        with pytest.raises(TypeError):
+            lexicon.mapping["cat"] = "dog"
+        with pytest.raises(TypeError):
+            del lexicon.mapping["was"]
+        assert stops.words == {"the"}
+        assert lexicon.mapping == {"was": "be"}
+        # a copy through pickle is as read-only as its original
+        for lists in pickle.loads(pickle.dumps((stops, lexicon))):
+            with pytest.raises(AttributeError):
+                setattr(lists, "extra", 1)
+        stops, lexicon = pickle.loads(pickle.dumps((stops, lexicon)))
+        assert stops.words == {"the"}
+        assert lexicon.mapping == {"was": "be"}
+        with pytest.raises(TypeError):
+            lexicon.mapping["cat"] = "dog"
+
+    def test_each_piece_read_once_per_process(self, monkeypatch):
+        lists = (StopwordList(["the"]), LemmaLexicon({"was": "be"}))
+        reads = collections.Counter()
+        read_piece = textpipe.read_piece
+
+        def counted(piece, *args):
+            reads[piece] += 1
+            return read_piece(piece, *args)
+
+        monkeypatch.setattr(textpipe, "read_piece", counted)
+        first = sentence_lengths("The cat was here. The cat ran", *lists)
+        assert reads == {"The": 1, "cat": 1, "was": 1, "here": 1, "ran": 1}
+        reads.clear()
+        second = sentence_lengths("The cat ran. The cat was here", *lists)
+        assert not reads
+        assert second.tolist() == first[:, ::-1].tolist()
+
+    def test_a_full_cache_starts_over(self, monkeypatch):
+        monkeypatch.setattr(textpipe, "PIECE_CACHE_SIZE", 4)
+        lists = (StopwordList(["w1"]), LemmaLexicon({"w2": "lemma"}))
+        text = " ".join(f"w{i} w{i % 3}, w{i}." for i in range(30))
+        expected = [_reference_lengths(tokens)
+                    for tokens in sentence_tokens(text, *lists)]
+        for _ in range(2):
+            assert sentence_lengths(text, *lists).T.tolist() == expected
+            assert len(textpipe._piece_cache(*lists)) <= 4
+
+    def test_threads_with_their_own_lists_get_their_own_series(
+            self, monkeypatch):
+        # a small bound makes the threads clear the cache under each other
+        monkeypatch.setattr(textpipe, "PIECE_CACHE_SIZE", 8)
+        text = " ".join(f"w{i % 40} the was w{i % 7}." for i in range(400))
+        pairs = [(StopwordList(["the", f"w{k}"]),
+                  LemmaLexicon({"was": "b" * (k + 1)})) for k in range(6)]
+        expected = [np.array([_reference_lengths(tokens) for tokens
+                              in sentence_tokens(text, *lists)]).T.tolist()
+                    for lists in pairs]
+        wrong = []
+
+        def work(k):
+            for i in range(30):
+                j = (k + i) % len(pairs)
+                if sentence_lengths(text, *pairs[j]).tolist() != expected[j]:
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_full_cache_holds_at_most_11_mb(self):
+        lists = (StopwordList(), LemmaLexicon())
+        text = " ".join(f"p{i}" for i in range(textpipe.PIECE_CACHE_SIZE))
+        tracemalloc.start()
+        try:
+            sentence_lengths(text, *lists)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(textpipe._piece_cache(*lists)) == textpipe.PIECE_CACHE_SIZE
+        assert held <= 11_000_000
 
 
 class TestUnicode:
