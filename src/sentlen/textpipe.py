@@ -17,7 +17,6 @@ import collections
 import functools
 import itertools
 import re
-import types
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -76,24 +75,18 @@ class Document:
 
 
 def _entry(word: str) -> str:
-    """A list entry in the form `read_piece` looks words up in."""
-    return unicodedata.normalize("NFC", word).lower()
-
-
-def _read_only(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is read-only")
+    """A list entry in the form `read_piece` looks words up in: NFC,
+    stripped of surrounding whitespace, lowercased."""
+    return unicodedata.normalize("NFC", word).strip().lower()
 
 
 class StopwordList:
     """Set of function words excluded by the non-stop measures; each is
-    stored NFC-normalized and lowercased, from a file or from code.
-    Read-only, since ingest caches what each piece reads as."""
-
-    __setattr__ = __delattr__ = _read_only
+    stored as its `_entry`, from a file or from code, and an entry that
+    is empty is dropped."""
 
     def __init__(self, words=()):
-        object.__setattr__(self, "words",
-                           frozenset(_entry(w) for w in words if w))
+        self.words = frozenset(filter(None, map(_entry, words)))
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -101,32 +94,25 @@ class StopwordList:
     @classmethod
     def from_file(cls, path) -> "StopwordList":
         # utf-8-sig: a leading byte-order mark would cling to the first entry
-        text = Path(path).read_text(encoding="utf-8-sig")
-        return cls(line.strip() for line in text.splitlines())
+        return cls(Path(path).read_text(encoding="utf-8-sig").splitlines())
 
 
 class LemmaLexicon:
-    """Map from surface form to its dictionary lemma; both are stored
-    NFC-normalized and lowercased, from a file or from code.
+    """Map from surface form to its dictionary lemma; both are stored as
+    their `_entry`, from a file or from code, and neither may be empty.
 
     Lookups fall back to the input form, so coverage gaps degrade to
-    the identity mapping instead of failing.  Read-only, like
-    `StopwordList`.
+    the identity mapping instead of failing.
     """
 
-    __setattr__ = __delattr__ = _read_only
-
     def __init__(self, mapping=None):
-        object.__setattr__(self, "mapping", types.MappingProxyType(
-            {_entry(surface): _entry(lemma)
-             for surface, lemma in dict(mapping or {}).items()}))
-
-    # a mapping proxy does not pickle; the dict it shows does
-    def __getstate__(self):
-        return dict(self.mapping)
-
-    def __setstate__(self, mapping):
-        object.__setattr__(self, "mapping", types.MappingProxyType(mapping))
+        self.mapping = {}
+        for surface, lemma in dict(mapping or {}).items():
+            key, value = _entry(surface), _entry(lemma)
+            if not (key and value):
+                raise ValueError(
+                    f"empty lemma lexicon entry: {surface!r} -> {lemma!r}")
+            self.mapping[key] = value
 
     def lemma_of(self, normalized: str) -> str:
         return self.mapping.get(normalized, normalized)
@@ -140,7 +126,7 @@ class LemmaLexicon:
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
+            if len(parts) != 2 or not all(map(_entry, parts)):
                 raise IngestionError(
                     f"{path}:{lineno}: expected 'surface<TAB>lemma', got {line!r}"
                 )
@@ -165,13 +151,17 @@ def segment_sentences(text: str) -> list[str]:
     return [seg for seg in segments if _WORD_CHAR_RE.search(seg)]
 
 
-def read_piece(piece: str, stops: StopwordList,
-               lexicon: LemmaLexicon) -> Token | None:
-    """The one definition of a word: a whitespace-free `piece` in NFC,
-    so `len(surface)` counts the same in any normal form, stripped of
-    leading and trailing non-alphanumerics, and looked up lowercased in
-    the stopword list and the lemma lexicon.  None when nothing is left.
-    The combining marks (Unicode category M) that follow the last kept
+#: distinct pieces whose surfaces one process keeps, least recently
+#: used first out; a full memo holds about 9.3 MB
+PIECE_CACHE_SIZE = 2 ** 16
+
+
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _surface(piece: str) -> str | None:
+    """What a whitespace-free `piece` reads as, whatever the lists: in
+    NFC, so `len` counts the same in any normal form, stripped of leading
+    and trailing non-alphanumerics.  None when nothing is left.  The
+    combining marks (Unicode category M) that follow the last kept
     character stay with it: a mark is no alphanumeric, but a final vowel
     sign or virama is part of its word.  A leading mark, which follows no
     kept character, is stripped.
@@ -186,36 +176,21 @@ def read_piece(piece: str, stops: StopwordList,
     end = core.end()
     while end < len(text) and unicodedata.category(text[end])[0] == "M":
         end += 1
-    surface = text[core.start():end]
+    return text[core.start():end]
+
+
+def read_piece(piece: str, stops: StopwordList,
+               lexicon: LemmaLexicon) -> Token | None:
+    """The one definition of a word: the `_surface` of `piece`, looked
+    up lowercased in the stopword list and the lemma lexicon.  None when
+    the piece has no surface."""
+    surface = _surface(piece)
+    if surface is None:
+        return None
     normalized = surface.lower()
     return Token(surface=surface, normalized=normalized,
                  lemma=lexicon.lemma_of(normalized),
                  is_stop=normalized in stops)
-
-
-#: distinct pieces whose entries one process keeps, at about 160 bytes
-#: each; a full cache starts over, so it holds at most about 10 MB
-PIECE_CACHE_SIZE = 2 ** 16
-
-
-@functools.lru_cache(maxsize=1)
-def _piece_cache(stops: StopwordList, lexicon: LemmaLexicon) -> dict:
-    """piece -> its four entries (is a word, surface length, lemma length,
-    kept) under these lists, which are read-only, so an entry never goes
-    stale; the lists of the last call only."""
-    return {}
-
-
-def _entries(piece: str, stops: StopwordList, lexicon: LemmaLexicon,
-             cache: dict) -> tuple[int, int, int, int]:
-    """The four entries of a piece not in `cache`, which keeps them."""
-    token = read_piece(piece, stops, lexicon)
-    entries = ((0, 0, 0, 0) if token is None else
-               (1, len(token.surface), len(token.lemma), not token.is_stop))
-    if len(cache) >= PIECE_CACHE_SIZE:
-        cache.clear()
-    cache[piece] = entries
-    return entries
 
 
 def tokenize(raw_sentence: str, stops: StopwordList | None = None,
@@ -238,10 +213,9 @@ def sentence_lengths(text: str, stops: StopwordList,
     seen for the first time gets the next row of the measure table, and
     no piece is kept, only its row, an 8-byte reference to the one int
     `row_of` holds for that row.  Each distinct piece's entries, what it
-    adds to each measure, come from a process-wide cache of at most
-    PIECE_CACHE_SIZE pieces, so a piece is read once per process, not
-    once per book; a sentence's lengths are the sums of its pieces'
-    entries."""
+    adds to each measure, are read from its `_surface`, which a
+    process-wide memo of PIECE_CACHE_SIZE pieces keeps whatever the
+    lists; a sentence's lengths are the sums of its pieces' entries."""
     row_of = collections.defaultdict(itertools.count().__next__)
     code = row_of.__getitem__
     rows = []
@@ -251,11 +225,20 @@ def sentence_lengths(text: str, stops: StopwordList,
     for raw in segment_sentences(text):
         starts.append(len(rows))
         rows += map(code, raw.split())
-    cache = _piece_cache(stops, lexicon)
-    cached = cache.get
+    # read_piece's lookups on bound locals: a method call per piece
+    # measured slower
+    stopwords, lemma_of = stops.words, lexicon.mapping.get
+    entries = []
+    for surface in map(_surface, row_of):
+        if surface is None:
+            entries.append((0, 0, 0, 0))
+        else:
+            normalized = surface.lower()
+            entries.append((1, len(surface),
+                            len(lemma_of(normalized, normalized)),
+                            normalized not in stopwords))
     word, chars, lemma_chars, kept = np.array(
-        [cached(p) or _entries(p, stops, lexicon, cache) for p in row_of],
-        dtype=np.int64).reshape(-1, 4).T
+        entries, dtype=np.int64).reshape(-1, 4).T
     # in CANONICAL_ORDER
     columns = (word, chars, lemma_chars, kept, kept * chars, kept * lemma_chars)
     rows = np.array(rows, dtype=np.int64)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import pickle
 import re
@@ -227,6 +228,19 @@ class TestLoadDocument:
                 f"{len(text)} characters: {peak / len(text):.1f} bytes each")
 
 
+def _memo(maxsize, reads=None):
+    """A fresh memo of `textpipe._surface` holding `maxsize` pieces,
+    counting each piece's misses in `reads`."""
+    surface = textpipe._surface.__wrapped__
+
+    def counted(piece):
+        if reads is not None:
+            reads[piece] += 1
+        return surface(piece)
+
+    return functools.lru_cache(maxsize=maxsize)(counted)
+
+
 class TestPieceCache:
     TEXT = "The cat was here. A dog was not! The cat ran."
 
@@ -252,45 +266,19 @@ class TestPieceCache:
         # N_l: "be" for "was" in the first two sentences
         assert series["plain"][2] == [13, 10, 9]
         assert series["lemmatized"][2] == [12, 9, 9]
-
-    def test_lists_are_read_only(self):
-        stops = StopwordList(["the"])
-        lexicon = LemmaLexicon({"was": "be"})
-        for mutate in (lambda: setattr(stops, "words", frozenset()),
-                       lambda: delattr(stops, "words"),
-                       lambda: setattr(stops, "extra", 1),
-                       lambda: stops.words.add("cat"),
-                       lambda: setattr(lexicon, "mapping", {}),
-                       lambda: delattr(lexicon, "mapping"),
-                       lambda: lexicon.mapping.clear()):
-            with pytest.raises(AttributeError):
-                mutate()
-        with pytest.raises(TypeError):
-            lexicon.mapping["cat"] = "dog"
-        with pytest.raises(TypeError):
-            del lexicon.mapping["was"]
-        assert stops.words == {"the"}
+        # the lists a pool worker unpickles are equal and count the same
+        stops, lexicon = pickle.loads(pickle.dumps(stopped[:1] + lemmatized[1:]))
+        assert stops.words == {"the", "was"}
         assert lexicon.mapping == {"was": "be"}
-        # a copy through pickle is as read-only as its original
-        for lists in pickle.loads(pickle.dumps((stops, lexicon))):
-            with pytest.raises(AttributeError):
-                setattr(lists, "extra", 1)
-        stops, lexicon = pickle.loads(pickle.dumps((stops, lexicon)))
-        assert stops.words == {"the"}
-        assert lexicon.mapping == {"was": "be"}
-        with pytest.raises(TypeError):
-            lexicon.mapping["cat"] = "dog"
+        assert sentence_lengths(self.TEXT, stops, lexicon).T.tolist() == [
+            _reference_lengths(tokens) for tokens
+            in sentence_tokens(self.TEXT, stopped[0], lemmatized[1])]
 
     def test_each_piece_read_once_per_process(self, monkeypatch):
         lists = (StopwordList(["the"]), LemmaLexicon({"was": "be"}))
         reads = collections.Counter()
-        read_piece = textpipe.read_piece
-
-        def counted(piece, *args):
-            reads[piece] += 1
-            return read_piece(piece, *args)
-
-        monkeypatch.setattr(textpipe, "read_piece", counted)
+        monkeypatch.setattr(textpipe, "_surface",
+                            _memo(textpipe.PIECE_CACHE_SIZE, reads))
         first = sentence_lengths("The cat was here. The cat ran", *lists)
         assert reads == {"The": 1, "cat": 1, "was": 1, "here": 1, "ran": 1}
         reads.clear()
@@ -298,20 +286,49 @@ class TestPieceCache:
         assert not reads
         assert second.tolist() == first[:, ::-1].tolist()
 
-    def test_a_full_cache_starts_over(self, monkeypatch):
-        monkeypatch.setattr(textpipe, "PIECE_CACHE_SIZE", 4)
+    def test_alternating_lists_read_each_surface_once(self, monkeypatch):
+        # a piece reads as the same surface under any lists, so switching
+        # lists reads no piece again, and neither does a piece `tokenize`
+        # has read
+        reads = collections.Counter()
+        monkeypatch.setattr(textpipe, "_surface",
+                            _memo(textpipe.PIECE_CACHE_SIZE, reads))
+        pairs = [(StopwordList(["the"]), LemmaLexicon()),
+                 (StopwordList(), LemmaLexicon({"was": "be"}))]
+        assert [t.surface for t in tokenize("The cat!", *pairs[0])] == \
+            ["The", "cat"]
+        assert reads == {"The": 1, "cat!": 1}
+        reads.clear()
+        tokenize("The cat was here", *pairs[1])
+        assert reads == {"cat": 1, "was": 1, "here": 1}
+        reads.clear()
+        series = [sentence_lengths(self.TEXT, *lists) for lists in pairs]
+        pieces = {p for raw in segment_sentences(self.TEXT)
+                  for p in raw.split()}
+        assert reads == {p: 1 for p in pieces - {"The", "cat", "was", "here"}}
+        reads.clear()
+        for _ in range(3):
+            for lists, expected in zip(pairs, series):
+                assert np.array_equal(sentence_lengths(self.TEXT, *lists),
+                                      expected)
+        assert not reads
+        assert series[0][3].tolist() == [3, 4, 2]
+        assert series[1][2].tolist() == [12, 9, 9]
+
+    def test_a_full_memo_evicts_the_least_recent(self, monkeypatch):
+        monkeypatch.setattr(textpipe, "_surface", _memo(4))
         lists = (StopwordList(["w1"]), LemmaLexicon({"w2": "lemma"}))
         text = " ".join(f"w{i} w{i % 3}, w{i}." for i in range(30))
         expected = [_reference_lengths(tokens)
                     for tokens in sentence_tokens(text, *lists)]
         for _ in range(2):
             assert sentence_lengths(text, *lists).T.tolist() == expected
-            assert len(textpipe._piece_cache(*lists)) <= 4
+            assert textpipe._surface.cache_info().currsize == 4
 
     def test_threads_with_their_own_lists_get_their_own_series(
             self, monkeypatch):
-        # a small bound makes the threads clear the cache under each other
-        monkeypatch.setattr(textpipe, "PIECE_CACHE_SIZE", 8)
+        # a small memo makes the threads evict its entries under each other
+        monkeypatch.setattr(textpipe, "_surface", _memo(8))
         text = " ".join(f"w{i % 40} the was w{i % 7}." for i in range(400))
         pairs = [(StopwordList(["the", f"w{k}"]),
                   LemmaLexicon({"was": "b" * (k + 1)})) for k in range(6)]
@@ -339,17 +356,21 @@ class TestPieceCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+        assert textpipe._surface.cache_info().misses > 40
 
     def test_a_full_cache_holds_at_most_11_mb(self):
         lists = (StopwordList(), LemmaLexicon())
         text = " ".join(f"p{i}" for i in range(textpipe.PIECE_CACHE_SIZE))
+        # so that the memo is filled while traced, whatever ran before
+        textpipe._surface.cache_clear()
         tracemalloc.start()
         try:
             sentence_lengths(text, *lists)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(textpipe._piece_cache(*lists)) == textpipe.PIECE_CACHE_SIZE
+        info = textpipe._surface.cache_info()
+        assert info.currsize == info.misses == textpipe.PIECE_CACHE_SIZE
         assert held <= 11_000_000
 
 
@@ -554,9 +575,49 @@ class TestResourceLoading:
 
     def test_malformed_lexicon_line(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
-        path.write_text("heard hear\n", encoding="utf-8")
-        with pytest.raises(IngestionError):
-            LemmaLexicon.from_file(path)
+        for line in ("heard hear", "was\t", "\tbe", "was\t \t",
+                     "was\tbe\tis", "\u3000\tbe"):
+            path.write_text(f"eyes\teye\n{line}\n", encoding="utf-8")
+            with pytest.raises(IngestionError, match=re.escape(f"{path}:2:")):
+                LemmaLexicon.from_file(path)
+
+    def test_whitespace_around_an_entry_is_not_part_of_it(self, tmp_path):
+        clean = tmp_path / "clean.tsv"
+        padded = tmp_path / "padded.tsv"
+        clean.write_text("was\tbe\nran\trun\n", encoding="utf-8")
+        padded.write_text("was\t be\nran \trun\n", encoding="utf-8")
+        for lexicon in (LemmaLexicon.from_file(clean),
+                        LemmaLexicon.from_file(padded),
+                        LemmaLexicon({" was": "be\u3000", "ran\t": " run"})):
+            assert lexicon.mapping == {"was": "be", "ran": "run"}
+            # N_l: 2 + 2 + 4, and "ran" reads as "run"
+            assert sentence_lengths("it was here. ran", StopwordList(),
+                                    lexicon)[2].tolist() == [8, 3]
+        assert StopwordList([" The\t", "\u3000", ""]).words == {"the"}
+
+    @pytest.mark.parametrize("mapping", [{"was": ""}, {"was": " \t"},
+                                         {"": "be"}, {"\u3000": "be"}])
+    def test_an_empty_lexicon_entry_is_refused(self, mapping):
+        (surface, lemma), = mapping.items()
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{surface!r} -> {lemma!r}")):
+            LemmaLexicon(mapping)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.text(alphabet="ab\t \u3000\n#\ufeff", max_size=40))
+def test_a_lexicon_file_loads_or_is_refused_by_line(text):
+    # never an uncaught ValueError: a bad line is an IngestionError
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "lemmas.tsv")
+        path.write_text(text, encoding="utf-8")
+        try:
+            lexicon = LemmaLexicon.from_file(path)
+        except IngestionError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert all(k and v and k == k.strip() and v == v.strip()
+                       for k, v in lexicon.mapping.items())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
