@@ -197,6 +197,25 @@ def _grid_fit(window_sizes: tuple[int, ...]
     return log_m, log_m_mean, weights
 
 
+def _positive_fit(window_sizes: tuple, f: np.ndarray
+                  ) -> tuple[np.ndarray, np.float64, np.ndarray, np.ndarray]:
+    """The cached `_grid_fit` of the window sizes whose F is positive,
+    and log F over them; the slope is the weights dotted with log F.  A
+    curve with every point positive keeps the whole grid as given and
+    takes no mask."""
+    mask = f > 0
+    kept = np.count_nonzero(mask)
+    if kept < MIN_FIT_POINTS:
+        raise DegenerateInputError(
+            f"undefined exponent: fewer than {MIN_FIT_POINTS} positive "
+            "fluctuation points"
+        )
+    if kept < f.size:
+        window_sizes = tuple(np.asarray(window_sizes)[mask].tolist())
+        f = f[mask]
+    return (*_grid_fit(window_sizes), np.log(f))
+
+
 def estimate_hurst(window_sizes, fluctuations) -> HurstEstimate:
     """Least-squares fit of log F against log m over the positive points:
     the slope is one dot product with weights cached per grid of the
@@ -205,14 +224,7 @@ def estimate_hurst(window_sizes, fluctuations) -> HurstEstimate:
     f = np.asarray(fluctuations, dtype=float)
     if m.shape != f.shape or m.ndim != 1:
         raise ValueError("need one fluctuation per window size")
-    mask = f > 0
-    if np.count_nonzero(mask) < MIN_FIT_POINTS:
-        raise DegenerateInputError(
-            f"undefined exponent: fewer than {MIN_FIT_POINTS} positive "
-            "fluctuation points"
-        )
-    lm, lm_mean, weights = _grid_fit(tuple(m[mask].tolist()))
-    lf = np.log(f[mask])
+    lm, lm_mean, weights, lf = _positive_fit(tuple(m.tolist()), f)
     slope = float(np.dot(weights, lf))
     # ndarray.mean's own arithmetic, without its per-call overhead
     lf_mean = np.add.reduce(lf) / lf.size
@@ -232,7 +244,10 @@ def hurst_of_series(series, config: DfaConfig) -> HurstEstimate:
 def shuffled_hurst(series, config: DfaConfig, seed: int) -> float:
     """Hurst exponent of a uniform random permutation of the series drawn
     from `seed`; the expected value for any ordering-driven persistence
-    is 0.5."""
+    is 0.5.  It is `hurst_of_series(...).h` of the permutation, from the
+    slope alone: no intercept or r^2."""
     shuffled = np.random.default_rng(seed).permutation(
         np.asarray(series, dtype=float))
-    return hurst_of_series(shuffled, config).h
+    *_, weights, lf = _positive_fit(config.window_sizes,
+                                    dfa_curve(shuffled, config))
+    return float(np.dot(weights, lf))

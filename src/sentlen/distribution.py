@@ -36,23 +36,38 @@ def ks_distance(a, b) -> float:
     """sup_x |C_a(x) - C_b(x)|, with C the right-continuous empirical CDF
     of a sample: C(x) = (# samples <= x) / n; from two samples or their
     tables, of which it reads the sorted rows."""
-    return _sup_distance(rank_table(a).sorted, rank_table(b).sorted)
+    return _sup_distance([rank_table(a).sorted, rank_table(b).sorted],
+                         [(0, 1)])[0]
 
 
-def _sup_distance(a, b) -> float:
-    """ks_distance of two sorted samples.
+def _sup_distance(rows, pairs) -> list[float]:
+    """ks_distance of each pair (i, j) of the sorted samples `rows`.
 
     Both CDFs are step functions, so the supremum is attained at a
-    sample point. Evaluating at the distinct values of each sorted side
+    sample point. Evaluating at the distinct values of each sorted row
     (the last of each run of equal values) is exact, and reads the same
-    differences as the whole merged sample, so the result is the same bits.
+    differences as the whole merged sample. Every pair reads one grid,
+    the run ends of all the rows: at a point of another row, each CDF of
+    the pair holds the value it takes at the pair's own last point below
+    it (or 0 below both rows), so the maximum is the same bits.
     """
-    if a.size == 0 or b.size == 0:
-        raise DegenerateInputError("KS distance requires at least one sample per side")
-    grid = np.concatenate([a[:-1][a[1:] != a[:-1]], a[-1:],
-                           b[:-1][b[1:] != b[:-1]], b[-1:]])
-    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
-                               - np.searchsorted(b, grid, side="right") / b.size)))
+    ends = []
+    for row in rows:
+        if row.size == 0:
+            raise DegenerateInputError(
+                "KS distance requires at least one sample per side")
+        ends += (row[:-1][row[1:] != row[:-1]], row[-1:])
+    grid = np.concatenate(ends)
+    cdf = [np.searchsorted(row, grid, side="right") / row.size
+           for row in rows]
+    if len(pairs) == 1:
+        # one pair, the mapped test's: no stack and no index arrays
+        (i, j), = pairs
+        return [float(np.max(np.abs(cdf[i] - cdf[j])))]
+    cdf = np.array(cdf)
+    diff = cdf[[i for i, _ in pairs]]
+    diff -= cdf[[j for _, j in pairs]]
+    return np.abs(diff, out=diff).max(axis=1).tolist()
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -76,20 +91,35 @@ def ks_two_sample(a, b, threshold: float = 0.01) -> KsResult:
     """Two-sample KS test with the asymptotic p-value at effective size
     n_e = n_a n_b / (n_a + n_b) and the usual small-sample correction;
     from two samples or their tables."""
-    return _ks_test(rank_table(a).sorted, rank_table(b).sorted, threshold)
+    return ks_pairwise([a, b], [(0, 1)], threshold)[0]
 
 
-def _ks_test(a, b, threshold: float) -> KsResult:
-    """ks_two_sample of two sorted samples."""
-    if a.size < 5 or b.size < 5:
-        raise DegenerateInputError(
-            f"KS test needs >= 5 samples per side, got {a.size} and {b.size}"
-        )
-    kappa = _sup_distance(a, b)
-    n_e = a.size * b.size / (a.size + b.size)
-    lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * kappa
-    p = kolmogorov_sf(lam)
-    return KsResult(kappa=kappa, p_value=p, accepted=bool(p >= threshold))
+def ks_pairwise(samples, pairs, threshold: float = 0.01) -> list[KsResult]:
+    """ks_two_sample of each pair (i, j) of the samples, or of their
+    tables, in the order of `pairs`, from one grid of every sorted row.
+    The grid holds the distinct values of every row, and each pair takes
+    one array of its size."""
+    return _ks_tests([rank_table(s).sorted for s in samples], pairs,
+                     threshold)
+
+
+def _ks_tests(rows, pairs, threshold: float) -> list[KsResult]:
+    """ks_pairwise of sorted samples."""
+    sizes = [row.size for row in rows]
+    for i, j in pairs:
+        if sizes[i] < 5 or sizes[j] < 5:
+            raise DegenerateInputError(
+                f"KS test needs >= 5 samples per side, got {sizes[i]} and "
+                f"{sizes[j]}"
+            )
+    results = []
+    for (i, j), kappa in zip(pairs, _sup_distance(rows, pairs)):
+        n_e = sizes[i] * sizes[j] / (sizes[i] + sizes[j])
+        lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * kappa
+        p = kolmogorov_sf(lam)
+        results.append(KsResult(kappa=kappa, p_value=p,
+                                accepted=bool(p >= threshold)))
+    return results
 
 
 def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult:
@@ -108,4 +138,4 @@ def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult
         raise ValueError("inputs must be finite")
     if lm.alpha < 0:
         mapped = mapped[::-1]
-    return _ks_test(mapped, ty.sorted, threshold)
+    return _ks_tests([mapped, ty.sorted], [(0, 1)], threshold)[0]

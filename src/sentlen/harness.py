@@ -15,7 +15,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -181,27 +181,30 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
     # one table per series feeds all 15 pairs; each field is computed on
     # its first read, so an all-zero series still fails in pearson first
     tables = [correlation.rank_table(v) for v in values]
-    # each normalized once, on first use, for the same reason; KS reads
-    # the sorted row of its table
-    normalized = cache(lambda k: correlation.rank_table(
-        distribution.mean_normalize(values[k])))
 
-    comparisons = []
+    pair_stats = []
     for i, j in PAIR_INDICES:
         tx, ty = tables[i], tables[j]
-        comparisons.append(ComparisonResult(
+        pair_stats.append(dict(
             pair=(CANONICAL_ORDER[i], CANONICAL_ORDER[j]),
             pearson=correlation.pearson(tx, ty),
             spearman=correlation.spearman(tx, ty, config.p_threshold),
             kendall=correlation.kendall_tau(tx, ty, config.p_threshold),
             gamma=correlation.goodman_kruskal_gamma(tx, ty,
                                                     config.p_threshold),
-            ks_plain=distribution.ks_two_sample(
-                normalized(i), normalized(j), config.p_threshold),
             ks_mapped=distribution.ks_after_linear_map(tx, ty,
                                                        config.p_threshold),
             linear_map=correlation.fit_linear_map(tx, ty),
         ))
+    # the 15 plain KS tests read one grid of the six mean-normalized rows,
+    # each sorted once by its table; after the pair loop, so an all-zero
+    # series fails in pearson before mean_normalize refuses its zero mean
+    normalized = [correlation.rank_table(distribution.mean_normalize(v))
+                  for v in values]
+    comparisons = tuple(
+        ComparisonResult(ks_plain=ks, **stats) for stats, ks in zip(
+            pair_stats, distribution.ks_pairwise(
+                normalized, PAIR_INDICES, config.p_threshold)))
 
     hurst = {}
     for kind, v in zip(CANONICAL_ORDER, values):
@@ -218,7 +221,7 @@ def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
     return BookReport(
         book_id=doc.id,
         sentence_count=doc.sentence_count,
-        comparisons=tuple(comparisons),
+        comparisons=comparisons,
         hurst=hurst,
         max_abs_delta_h=max_delta,
     )
@@ -335,6 +338,9 @@ def analyze_corpus(directory, config: AnalysisConfig
 
 def _fmt(x) -> str:
     """All numeric output carries 6 significant digits."""
+    # most values are Python floats: one type check, then the format
+    if type(x) is float:
+        return format(x, ".6g")
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
@@ -369,6 +375,9 @@ _COMPARISON_FIELDS = (
     ("linear_map.alpha", "map_alpha"),
     ("linear_map.beta", "map_beta"),
 )
+#: a ComparisonResult's values of those columns, as one tuple
+_comparison_values = operator.attrgetter(
+    *(attr for attr, _ in _COMPARISON_FIELDS))
 
 
 def _json_value(x):
@@ -432,16 +441,17 @@ def _book_csv_rows(rep: BookReport):
         hy = rep.hurst[c.pair[1]]
         yield [
             c.pair[0].label, c.pair[1].label,
-            *(_fmt(operator.attrgetter(attr)(c))
-              for attr, _ in _COMPARISON_FIELDS),
+            *map(_fmt, _comparison_values(c)),
             _fmt(hx.h), _fmt(hy.h), _fmt(hx.h_shuffled), _fmt(hy.h_shuffled),
             _fmt(abs(hx.h - hy.h)),
         ]
 
 
-def _cdf_rows(values):
+def _cdf_rows(values: np.ndarray):
+    # the values as Python floats, which _fmt formats first
     n = len(values)
-    return [[_fmt(v), _fmt((i + 1) / n)] for i, v in enumerate(values)]
+    return [[_fmt(v), _fmt((i + 1) / n)]
+            for i, v in enumerate(values.tolist())]
 
 
 def _acceptance_rows(matrix):

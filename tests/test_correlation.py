@@ -527,6 +527,28 @@ class TestCountInversions:
     def test_pad_rank_past_a_narrow_type(self, ranks, n_ranks, expected):
         assert _count_inversions(np.array(ranks), n_ranks) == expected
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_block_edge_matches_enumeration(self, data):
+        # both sides of the one-block limit, a few distinct ranks (heavy
+        # ties), and the largest rank at the int8 and int16 edges of the
+        # narrow type the points are compared in
+        edge = correlation._ONE_BLOCK
+        n = data.draw(st.one_of(
+            st.sampled_from([edge - 1, edge, edge + 1]),
+            st.integers(edge - 40, edge + 40)), label="n")
+        n_ranks = data.draw(st.sampled_from(
+            [1, 2, 3, 126, 127, 128, 129, 32766, 32767, 32768, 32769]),
+            label="n_ranks")
+        levels = data.draw(st.integers(1, 6), label="levels")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = np.unique(np.append(rng.integers(0, n_ranks, levels - 1),
+                                     n_ranks - 1))
+        ranks = rng.choice(values, size=n)
+        result = _count_inversions(ranks, n_ranks)
+        assert type(result) is int
+        assert result == brute_inversions(ranks.tolist())
+
     def test_reads_the_given_ranks_without_ranking_again(self, monkeypatch):
         def no_unique(*args, **kwargs):
             raise AssertionError("np.unique called")

@@ -575,6 +575,22 @@ class TestShuffled:
         b = shuffled_hurst(series, cfg, 2)
         assert a != b
 
+    @pytest.mark.parametrize("seed", [0, 7, (5 << 64) ^ 12345])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -541])
+    def test_is_the_slope_of_the_permutation(self, seed, scale):
+        # at 2**-541 the squared residuals of the smaller windows round
+        # to zero: F is zero there, and the fit keeps the other points
+        series = np.random.default_rng(3).integers(1, 30, 300) * scale
+        cfg = default_config(300)
+        shuffled = np.random.default_rng(seed).permutation(series)
+        positive = np.count_nonzero(dfa_curve(shuffled, cfg))
+        if scale == 1.0:
+            assert positive == len(cfg.window_sizes)
+        else:
+            assert dfa.MIN_FIT_POINTS <= positive < len(cfg.window_sizes)
+        assert shuffled_hurst(series, cfg, seed) == \
+            hurst_of_series(shuffled, cfg).h
+
     def test_iid_series_near_half(self):
         series = np.random.default_rng(6).standard_normal(8000)
         cfg = default_config(8000)

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 import corpusgen
 from sentlen.distribution import (
+    _sup_distance,
     kolmogorov_sf,
     ks_after_linear_map,
     ks_distance,
+    ks_pairwise,
     ks_two_sample,
     mean_normalize,
 )
 from sentlen.exceptions import DegenerateInputError
+from sentlen.harness import PAIR_INDICES
 
 
 class TestMeanNormalize:
@@ -162,6 +165,39 @@ class TestKsDistanceBits:
     def test_hand_cases(self, a, b, expected):
         assert ks_distance(a, b) == expected
         assert full_grid_ks_distance(a, b) == expected
+
+
+class TestPairwiseKs:
+    """One grid of the run ends of k sorted rows gives every pair the kappa
+    of its own two-row grid, bit for bit (==, not approx)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.one_of(lengths.map(mean_normalize), tie_values),
+                         min_size=6, max_size=6))
+    def test_fifteen_pairs_match_two_row_distance(self, rows):
+        # rows of different lengths, heavy ties and signed zeros
+        rows = [np.sort(np.asarray(r, dtype=float)) for r in rows]
+        pairs = PAIR_INDICES + tuple((j, i) for i, j in PAIR_INDICES)
+        kappas = _sup_distance(rows, pairs)
+        assert all(type(k) is float for k in kappas)
+        assert kappas == [ks_distance(rows[i], rows[j]) for i, j in pairs]
+        assert kappas == [full_grid_ks_distance(rows[i], rows[j])
+                          for i, j in pairs]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.lists(st.integers(1, 40), min_size=5,
+                                  max_size=120),
+                         min_size=6, max_size=6))
+    def test_each_test_is_the_two_sample_test(self, rows):
+        rows = [mean_normalize(r) for r in rows]
+        assert ks_pairwise(rows, PAIR_INDICES, 0.05) == [
+            ks_two_sample(rows[i], rows[j], 0.05) for i, j in PAIR_INDICES]
+
+    def test_undersized_side_of_any_pair(self):
+        rows = [[1, 2, 3, 4, 5], [2, 3, 4, 5, 6], [1, 2, 3, 4]]
+        assert len(ks_pairwise(rows, [(0, 1)])) == 1
+        with pytest.raises(DegenerateInputError, match="got 5 and 4"):
+            ks_pairwise(rows, [(0, 1), (1, 2)])
 
 
 class TestKsTwoSample:
