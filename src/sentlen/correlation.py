@@ -132,14 +132,6 @@ def _validate(values) -> np.ndarray:
     return values
 
 
-def _check_pair(n_x: int, n_y: int, min_size: int = 2) -> None:
-    if n_x != n_y:
-        raise ValueError(f"length mismatch: {n_x} vs {n_y}")
-    if n_x < min_size:
-        raise DegenerateInputError(
-            f"need at least {min_size} points, got {n_x}")
-
-
 def rank_table(values) -> RankTable:
     """The table of a finite one-dimensional series; a table is returned
     as it is."""
@@ -156,7 +148,11 @@ def _table_pair(x, y, min_size: int = 2) -> tuple[RankTable, RankTable]:
     """The tables of x and y, checked to be of one length and at least
     `min_size` points."""
     tx, ty = rank_table(x), rank_table(y)
-    _check_pair(tx.size, ty.size, min_size)
+    if tx.size != ty.size:
+        raise ValueError(f"length mismatch: {tx.size} vs {ty.size}")
+    if tx.size < min_size:
+        raise DegenerateInputError(
+            f"need at least {min_size} points, got {tx.size}")
     return tx, ty
 
 

@@ -60,10 +60,6 @@ def _sup_distance(rows, pairs) -> list[float]:
     grid = np.concatenate(ends)
     cdf = [np.searchsorted(row, grid, side="right") / row.size
            for row in rows]
-    if len(pairs) == 1:
-        # one pair, the mapped test's: no stack and no index arrays
-        (i, j), = pairs
-        return [float(np.max(np.abs(cdf[i] - cdf[j])))]
     cdf = np.array(cdf)
     diff = cdf[[i for i, _ in pairs]]
     diff -= cdf[[j for _, j in pairs]]

@@ -75,7 +75,7 @@ class Document:
 
 
 def _entry(word: str) -> str:
-    """A list entry in the form `read_piece` looks words up in: NFC,
+    """A list entry in the form `_words` looks words up in: NFC,
     stripped of surrounding whitespace, lowercased."""
     return unicodedata.normalize("NFC", word).strip().lower()
 
@@ -179,29 +179,27 @@ def _surface(piece: str) -> str | None:
     return text[core.start():end]
 
 
-def read_piece(piece: str, stops: StopwordList,
-               lexicon: LemmaLexicon) -> Token | None:
-    """The one definition of a word: the `_surface` of `piece`, looked
-    up lowercased in the stopword list and the lemma lexicon.  None when
-    the piece has no surface."""
-    surface = _surface(piece)
-    if surface is None:
-        return None
-    normalized = surface.lower()
-    return Token(surface=surface, normalized=normalized,
-                 lemma=lexicon.lemma_of(normalized),
-                 is_stop=normalized in stops)
+def _words(pieces, stops: StopwordList, lexicon: LemmaLexicon) -> list:
+    """The one definition of a word: for each piece, None when it has no
+    `_surface`, else the tuple (surface, normalized, lemma, is_stop) in
+    `Token`'s field order, the surface looked up lowercased through the
+    lists' own `lemma_of` and `__contains__`."""
+    lemma_of, is_stop = lexicon.lemma_of, stops.__contains__
+    return [None if surface is None else
+            (surface, (normalized := surface.lower()), lemma_of(normalized),
+             is_stop(normalized))
+            for surface in map(_surface, pieces)]
 
 
 def tokenize(raw_sentence: str, stops: StopwordList | None = None,
              lexicon: LemmaLexicon | None = None) -> list[Token]:
-    """Whitespace-split, then `read_piece` each piece (in NFC); internal
-    apostrophes and hyphens survive.  Without `stops` no word is a
-    stopword; without `lexicon` every lemma is the normalized form."""
+    """Whitespace-split, then read each piece with `_words` (in NFC);
+    internal apostrophes and hyphens survive.  Without `stops` no word is
+    a stopword; without `lexicon` every lemma is the normalized form."""
     stops = StopwordList() if stops is None else stops
     lexicon = LemmaLexicon() if lexicon is None else lexicon
-    tokens = (read_piece(p, stops, lexicon) for p in raw_sentence.split())
-    return [t for t in tokens if t is not None]
+    words = _words(raw_sentence.split(), stops, lexicon)
+    return [Token(*word) for word in words if word is not None]
 
 
 def sentence_lengths(text: str, stops: StopwordList,
@@ -213,9 +211,10 @@ def sentence_lengths(text: str, stops: StopwordList,
     seen for the first time gets the next row of the measure table, and
     no piece is kept, only its row, an 8-byte reference to the one int
     `row_of` holds for that row.  Each distinct piece's entries, what it
-    adds to each measure, are read from its `_surface`, which a
-    process-wide memo of PIECE_CACHE_SIZE pieces keeps whatever the
-    lists; a sentence's lengths are the sums of its pieces' entries."""
+    adds to each measure, come from one `_words` call over the distinct
+    pieces, whose `_surface` a process-wide memo of PIECE_CACHE_SIZE
+    pieces keeps whatever the lists; a sentence's lengths are the sums
+    of its pieces' entries."""
     row_of = collections.defaultdict(itertools.count().__next__)
     code = row_of.__getitem__
     rows = []
@@ -225,18 +224,9 @@ def sentence_lengths(text: str, stops: StopwordList,
     for raw in segment_sentences(text):
         starts.append(len(rows))
         rows += map(code, raw.split())
-    # read_piece's lookups on bound locals: a method call per piece
-    # measured slower
-    stopwords, lemma_of = stops.words, lexicon.mapping.get
-    entries = []
-    for surface in map(_surface, row_of):
-        if surface is None:
-            entries.append((0, 0, 0, 0))
-        else:
-            normalized = surface.lower()
-            entries.append((1, len(surface),
-                            len(lemma_of(normalized, normalized)),
-                            normalized not in stopwords))
+    entries = [(0, 0, 0, 0) if word is None else
+               (1, len(word[0]), len(word[2]), not word[3])
+               for word in _words(row_of, stops, lexicon)]
     word, chars, lemma_chars, kept = np.array(
         entries, dtype=np.int64).reshape(-1, 4).T
     # in CANONICAL_ORDER

@@ -404,6 +404,43 @@ class TestUnicode:
         assert [t.is_stop for t in first] == [False, True, False, False, False]
 
 
+class _TStops(StopwordList):
+    """A list whose own lookup decides: every word starting with 't'."""
+
+    def __contains__(self, word):
+        return word.startswith("t")
+
+
+class _XLemmas(LemmaLexicon):
+    """A lexicon whose own lookup decides: every lemma is 'x'."""
+
+    def lemma_of(self, normalized):
+        return "x"
+
+
+class TestOverriddenLookups:
+    TEXT = "The tiger was here. Then it ran."
+
+    @pytest.mark.parametrize("text", [TEXT, corpusgen.build_book(40, 7)])
+    def test_both_paths_ask_the_lists_own_lookups(self, text):
+        lists = (_TStops(), _XLemmas())
+        lengths = sentence_lengths(text, *lists)
+        sentences = sentence_tokens(text, *lists)
+        assert lengths.shape == (len(CANONICAL_ORDER), len(sentences))
+        for i, tokens in enumerate(sentences):
+            assert lengths[:, i].tolist() == _reference_lengths(tokens)
+            assert {t.lemma for t in tokens} == {"x"}
+            assert [t.is_stop for t in tokens] == [
+                t.normalized.startswith("t") for t in tokens]
+
+    def test_the_overrides_count(self):
+        lengths = sentence_lengths(self.TEXT, _TStops(), _XLemmas())
+        # N_l: one character per word; N_Sw: "the", "tiger" and "then"
+        # are stopwords
+        assert lengths[2].tolist() == [4, 3]
+        assert lengths[3].tolist() == [2, 2]
+
+
 def _reference_lengths(tokens) -> list[int]:
     """The six measures of one sentence, recomputed from its tokens:
     words count tokens, character measures sum the relevant form's code
