@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._dot import dot
 from .exceptions import DegenerateInputError
 
 _LN_DBL_MIN = math.log(sys.float_info.min)
@@ -85,7 +86,7 @@ class RankTable:
 
     @cached_property
     def sum_sq(self) -> float:
-        return float(np.dot(self.centred, self.centred))
+        return dot(self.centred, self.centred)
 
     @cached_property
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +169,7 @@ def _pearson(tx: RankTable, ty: RankTable) -> float:
     centred rows over the root of each sum of squares."""
     if tx.sum_sq == 0 or ty.sum_sq == 0:
         raise DegenerateInputError("zero variance input to pearson")
-    return float(np.dot(tx.centred, ty.centred)) / (
+    return dot(tx.centred, ty.centred) / (
         math.sqrt(tx.sum_sq) * math.sqrt(ty.sum_sq))
 
 
@@ -430,6 +431,6 @@ def fit_linear_map(x, y) -> LinearMap:
     tx, ty = _table_pair(x, y)
     if tx.sum_sq == 0:
         raise DegenerateInputError("constant x: linear map undefined")
-    alpha = float(np.dot(tx.centred, ty.centred)) / tx.sum_sq
+    alpha = dot(tx.centred, ty.centred) / tx.sum_sq
     beta = float(ty.mean - alpha * tx.mean)
     return LinearMap(alpha=alpha, beta=beta)

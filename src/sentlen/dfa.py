@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._dot import dot
 from .exceptions import DegenerateInputError
 
 DEFAULT_MIN_WINDOW = 8
@@ -165,7 +166,7 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
         windows -= np.dot(np.dot(windows, basis), basis.T)
         resid = windows
     resid = resid.ravel()
-    return math.sqrt(np.dot(resid, resid) / resid.size)
+    return math.sqrt(dot(resid, resid) / resid.size)
 
 
 def dfa_curve(series, config: DfaConfig) -> np.ndarray:

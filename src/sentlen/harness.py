@@ -160,12 +160,20 @@ def _shuffle_seed(config: AnalysisConfig, book_id: str, kind: MeasureKind,
 
 
 def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
-    """Full per-book pipeline.  Returns SkippedBook for books below the
-    sentence floor; raises IngestionError for unreadable files and
-    DegenerateInputError for a book too short for the DFA windows."""
-    path = Path(path)
+    """Full per-book pipeline: `load_document`, then `analyze_lengths` of
+    its lengths.  Raises IngestionError for unreadable files."""
     stops, lexicon = _resources(config.stopwords_path, config.lemmas_path)
-    doc = textpipe.load_document(path, stops, lexicon)
+    doc = textpipe.load_document(Path(path), stops, lexicon)
+    return analyze_lengths(doc.id, doc.lengths, config)
+
+
+def analyze_lengths(book_id: str, lengths,
+                    config: AnalysisConfig) -> BookReport | SkippedBook:
+    """The analysis of one book's (6, n_sentences) integer lengths, row k
+    measure CANONICAL_ORDER[k], as `textpipe.Document.lengths` holds them.
+    Returns SkippedBook for books below the sentence floor; raises
+    DegenerateInputError for a book too short for the DFA windows."""
+    doc = textpipe.Document(book_id, lengths)
     if doc.sentence_count < config.min_sentences:
         return SkippedBook(
             book_id=doc.id,

@@ -91,13 +91,23 @@ def lstsq_fluctuation(profile, m, deg):
     return math.sqrt(np.mean((windows.T - vand @ coef) ** 2))
 
 
+def blocked_sum_of_squares(resid):
+    """The np.dot of each consecutive 10 000-value block of the residual
+    with itself, added in index order: one np.dot for at most 10 000."""
+    total = 0.0
+    for start in range(0, resid.size, 10_000):
+        block = resid[start:start + 10_000]
+        total += float(np.dot(block, block))
+    return total
+
+
 def mean_fluctuation(profile, m, deg):
     """F(m) as the (2s, m) window block, its residual, and the mean of
-    the squared residual as one dot product over its size: the arithmetic
-    fluctuation must keep bit for bit.  The residual is the block times
-    the residual operator for a window of at most 32 points while that
-    product takes at most 2**19 multiply-adds, and the block minus its
-    projection onto the basis otherwise."""
+    the squared residual as its blocked sum of squares over its size: the
+    arithmetic fluctuation must keep bit for bit.  The residual is the
+    block times the residual operator for a window of at most 32 points
+    while that product takes at most 2**19 multiply-adds, and the block
+    minus its projection onto the basis otherwise."""
     n = profile.size
     s = n // m
     windows = np.concatenate([profile[:s * m].reshape(s, m),
@@ -107,7 +117,7 @@ def mean_fluctuation(profile, m, deg):
     else:
         basis = _detrend_basis(m, deg)
         resid = (windows - (windows @ basis) @ basis.T).ravel()
-    return math.sqrt(np.dot(resid, resid) / resid.size)
+    return math.sqrt(blocked_sum_of_squares(resid) / resid.size)
 
 
 class TestFluctuationBits:
@@ -127,6 +137,18 @@ class TestFluctuationBits:
 
     def test_equals_mean_of_squared_residuals_long_book(self):
         self.assert_every_window_matches(15_000, 2026)
+
+    # 2 * (n // m) * m residuals: one whole block at each path, and one
+    # block and two values, which only m = 3 makes
+    @pytest.mark.parametrize("n, m, deg, size", [
+        (5000, 8, 1, 10_000), (5000, 100, 2, 10_000), (5001, 3, 1, 10_002),
+    ])
+    def test_equals_blocked_sum_at_the_block_edge(self, n, m, deg, size):
+        assert 2 * (n // m) * m == size
+        profile = integrate_profile(
+            np.random.default_rng(n + m).integers(1, 40, size=n))
+        assert fluctuation(profile, m, deg) == mean_fluctuation(
+            profile, m, deg)
 
     def test_each_path_taken_where_documented(self):
         # at n = 20 000, about 40 000 residuals, the product with the
@@ -271,9 +293,10 @@ class TestExactness:
     def test_long_series_within_ulps(self, seed):
         # at n = 20 000 the work bound sends m = 14 to 32 to the basis.
         # Over these 12 series the arithmetic before the operator was at
-        # most 1.4 ulps from exact and this one 2.6: np.dot's sum of
-        # squares lands up to about one ulp of the sum further from it
-        # than np.add.reduce's pairwise sum
+        # most 1.4 ulps from exact, one np.dot of all squares 2.6, and
+        # this one, the squares summed in 10 000-value blocks, 1.7: a
+        # dot's sum of squares lands up to about one ulp of the sum
+        # further from it than np.add.reduce's pairwise sum
         series = np.random.default_rng(seed).integers(1, 300, size=20_000)
         profile = integrate_profile(series)
         for m in (8, 13, 14, 32, 33, 64):

@@ -1,9 +1,12 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import textwrap
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from sentlen.harness import (
     SkippedBook,
     analyze_book,
     analyze_corpus,
+    analyze_lengths,
     emit_reports,
     hurst_length_correlation,
     summarize,
@@ -49,6 +53,19 @@ class TestAnalyzeBook:
         outcome = analyze_book(path, AnalysisConfig())
         assert isinstance(outcome, SkippedBook)
         assert "4 sentences" in outcome.reason
+
+    @pytest.mark.parametrize("n_sentences", [300, 100])
+    def test_is_analyze_lengths_of_the_document(self, tmp_path, stops,
+                                                lexicon, n_sentences):
+        # the default floor is 200 sentences: the second book is skipped
+        path = tmp_path / "book.txt"
+        path.write_text(corpusgen.build_book(n_sentences, seed=1),
+                        encoding="utf-8")
+        config = AnalysisConfig()
+        doc = textpipe.load_document(path, stops, lexicon)
+        outcome = analyze_book(path, config)
+        assert isinstance(outcome, SkippedBook) is (n_sentences < 200)
+        assert outcome == analyze_lengths(doc.id, doc.lengths, config)
 
     def test_empty_file_skipped(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -1040,3 +1057,61 @@ def test_pool_workers_clamped(jobs, cpus, affinity, expected, tmp_path,
     summary, _ = analyze_corpus(tmp_path, AnalysisConfig(jobs=jobs))
     assert len(summary.skipped) == 3
     assert pools == ([] if expected is None else [expected])
+
+
+#: the float bits of two DFA curves and of one book's analysis, as hex:
+#: run in this process and, under one OpenBLAS thread, in a child
+_THREAD_PROBE = '''
+import dataclasses
+import numpy as np
+from sentlen import dfa, harness
+
+
+def hex_floats(x):
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from hex_floats(getattr(x, f.name))
+    elif isinstance(x, (tuple, list)):
+        for v in x:
+            yield from hex_floats(v)
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from hex_floats(v)
+    elif isinstance(x, float):
+        yield float.hex(x)
+
+
+rng = np.random.default_rng(33)
+probe = []
+for n in (20_000, 200_000):
+    series = rng.integers(1, 40, size=n)
+    probe += hex_floats(dfa.dfa_curve(series, dfa.default_config(n)).tolist())
+# six rows of one book of 20 000 sentences, in CANONICAL_ORDER
+words = rng.integers(2, 30, size=20_000)
+chars = 4 * words + rng.integers(0, 2 * words + 1)
+nonstop = rng.binomial(words, 0.6)
+nonstop_chars = 5 * nonstop + rng.integers(0, 2 * nonstop + 1)
+lengths = np.stack([words, chars, chars - rng.binomial(words, 0.3), nonstop,
+                    nonstop_chars,
+                    nonstop_chars - rng.binomial(nonstop, 0.3)])
+report = harness.analyze_lengths("threads", lengths, harness.AnalysisConfig())
+assert isinstance(report, harness.BookReport)
+probe += hex_floats(report)
+'''
+
+
+def test_raw_values_do_not_depend_on_the_blas_thread_count():
+    """Every F of two long integer series (20 000 and 200 000 points,
+    whose sums of squares run to 40 000 and 400 000 residuals) and every
+    float of one 20 000-sentence book's analysis has the same bits under
+    one OpenBLAS thread as under this process's threads.  On a one-CPU
+    host, or with OPENBLAS_NUM_THREADS=1 already set, both sides run on
+    one thread and the test passes trivially."""
+    scope = {}
+    exec(_THREAD_PROBE, scope)
+    code = _THREAD_PROBE + "\nprint(' '.join(probe))\n"
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True, env=env).stdout
+    assert child.split() == scope["probe"]
