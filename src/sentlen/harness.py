@@ -13,7 +13,6 @@ import logging
 import numbers
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -326,6 +325,8 @@ def analyze_corpus(directory, config: AnalysisConfig
             else os.cpu_count() or 1)
     workers = min(config.jobs, len(paths), cpus)
     if workers > 1:
+        # imported here: a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_safe_analyze, paths,
                                      [config] * len(paths)))

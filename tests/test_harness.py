@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import gc
 import json
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpusgen
 from sentlen import cli, correlation, dfa, distribution, harness, textpipe
@@ -32,7 +36,7 @@ from sentlen.harness import (
     hurst_length_correlation,
     summarize,
 )
-from sentlen.series import MeasureKind
+from sentlen.series import CANONICAL_ORDER, MeasureKind
 
 
 @pytest.fixture(scope="module")
@@ -803,12 +807,13 @@ class TestCli:
             self, fmt, small_corpus_dir, tmp_path, monkeypatch):
         pools = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(harness.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -1047,7 +1052,8 @@ def test_pool_workers_clamped(jobs, cpus, affinity, expected, tmp_path,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     if affinity is None:
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
@@ -1057,6 +1063,10 @@ def test_pool_workers_clamped(jobs, cpus, affinity, expected, tmp_path,
     summary, _ = analyze_corpus(tmp_path, AnalysisConfig(jobs=jobs))
     assert len(summary.skipped) == 3
     assert pools == ([] if expected is None else [expected])
+
+
+#: the directory that holds the sentlen package, for child interpreters
+_SRC = str(Path(harness.__file__).resolve().parents[1])
 
 
 #: the float bits of two DFA curves and of one book's analysis, as hex:
@@ -1110,8 +1120,151 @@ def test_raw_values_do_not_depend_on_the_blas_thread_count():
     scope = {}
     exec(_THREAD_PROBE, scope)
     code = _THREAD_PROBE + "\nprint(' '.join(probe))\n"
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS="1")
     child = subprocess.run([sys.executable, "-c", code], check=True,
                            capture_output=True, text=True, env=env).stdout
     assert child.split() == scope["probe"]
+
+
+#: what a fresh interpreter must not load for a one-process run: the
+#: process pool and scipy, which only the tests use
+_POOL_MODULES = ("multiprocessing", "concurrent.futures.process", "scipy")
+
+
+@pytest.mark.parametrize("run", [False, True], ids=["import", "jobs-1-run"])
+def test_one_process_run_loads_no_pool(run, tmp_path):
+    """A fresh interpreter that imports `sentlen.cli`, and one that then
+    analyzes two books with `--jobs 1`, loads no module of the process
+    pool and no scipy."""
+    code = "import sys\nfrom sentlen import cli\n"
+    if run:
+        books = tmp_path / "books"
+        books.mkdir()
+        for seed in (1, 2):
+            (books / f"b{seed}.txt").write_text(
+                corpusgen.build_book(250, seed=seed), encoding="utf-8")
+        argv = ["analyze", str(books), "--out", str(tmp_path / "out"),
+                "--jobs", "1"]
+        code += f"assert cli.main({argv!r}) == 0\n"
+    code += f"print(*[m for m in {_POOL_MODULES!r} if m in sys.modules])\n"
+    child = subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=_SRC)).stdout
+    assert child.split() == []
+    if run:
+        assert sorted(p.name for p in (tmp_path / "out" / "books").iterdir()
+                      ) == ["b1.json", "b2.json"]
+
+
+@st.composite
+def book_lengths(draw):
+    """A (6, n) integer array shaped like a book's lengths, 250 <= n <= 400:
+    words, then characters and letters from them, then the same for the
+    words left after stopwords, all drawn from one hypothesis seed."""
+    n = draw(st.integers(250, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = rng.integers(1, draw(st.integers(8, 60)), size=n)
+    chars = 4 * words + rng.integers(0, 2 * words + 1)
+    nonstop = rng.binomial(words, 0.6)
+    nonstop_chars = 5 * nonstop + rng.integers(0, 2 * nonstop + 1)
+    return np.stack([words, chars, chars - rng.binomial(words, 0.3),
+                     nonstop, nonstop_chars,
+                     nonstop_chars - rng.binomial(nonstop, 0.3)])
+
+
+def _by_pair(report):
+    return {c.pair: c for c in report.comparisons}
+
+
+#: the pairwise fields that do not depend on the sentences' order at all
+_ORDER_FREE = ("spearman", "kendall", "gamma", "ks_plain", "ks_mapped")
+#: the fields that hold x and y in the same roles
+_SYMMETRIC = ("pearson", "spearman", "kendall", "gamma", "ks_plain")
+
+
+class TestAnalyzeLengthsInvariance:
+    """Whole-book properties of `analyze_lengths` that need no reference:
+    they pin the glue between the kernels (pair labels, the rows each KS
+    test normalizes, the shuffle seeds), not the kernels."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(lengths=book_lengths(), data=st.data())
+    def test_a_common_permutation_of_the_sentences(self, lengths, data):
+        # r, alpha and beta sum a dot product in the sentences' order, so
+        # their last bits may move; every other pairwise field is a rank,
+        # a count or a sorted sample, and keeps its bits
+        order = np.random.default_rng(
+            data.draw(st.integers(0, 2**32 - 1))).permutation(
+                lengths.shape[1])
+        config = AnalysisConfig()
+        before = analyze_lengths("book", lengths, config)
+        after = analyze_lengths("book", lengths[:, order], config)
+        assert after.sentence_count == before.sentence_count
+        for a, b in zip(before.comparisons, after.comparisons):
+            assert a.pair == b.pair
+            for name in _ORDER_FREE:
+                assert repr(getattr(b, name)) == repr(getattr(a, name))
+            for x, y in [(a.pearson, b.pearson),
+                         (a.linear_map.alpha, b.linear_map.alpha),
+                         (a.linear_map.beta, b.linear_map.beta)]:
+                assert harness._fmt(y) == harness._fmt(x)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(lengths=book_lengths(),
+           rows=st.lists(st.integers(0, 5), min_size=2, max_size=2,
+                         unique=True))
+    def test_swapping_two_rows(self, lengths, rows):
+        i, j = rows
+        swap = list(range(6))
+        swap[i], swap[j] = j, i
+        config = AnalysisConfig()
+        before = analyze_lengths("book", lengths, config)
+        after = analyze_lengths("book", lengths[swap], config)
+        old, new = _by_pair(before), _by_pair(after)
+        for a, b in PAIR_INDICES:
+            was = old[CANONICAL_ORDER[a], CANONICAL_ORDER[b]]
+            now = new[tuple(sorted(
+                [CANONICAL_ORDER[swap[a]], CANONICAL_ORDER[swap[b]]],
+                key=CANONICAL_ORDER.index))]
+            if swap[a] < swap[b]:
+                # the same two rows in the same roles
+                assert dataclasses.replace(now, pair=was.pair) == was
+                continue
+            for name in _SYMMETRIC:
+                assert getattr(now, name) == getattr(was, name)
+            # least squares of y on x and of x on y: the slopes' product
+            # is r squared
+            assert now.linear_map.alpha * was.linear_map.alpha == (
+                pytest.approx(was.pearson ** 2, rel=1e-12))
+        dfa_config = dfa.default_config(lengths.shape[1])
+        for k, kind in enumerate(CANONICAL_ORDER):
+            moved, stayed = after.hurst[kind], before.hurst[
+                CANONICAL_ORDER[swap[k]]]
+            # the real exponent follows the row's data
+            assert dataclasses.replace(moved, h_shuffled=stayed.h_shuffled
+                                       ) == stayed
+            # the shuffled control follows the label: its seeds hash it
+            series = lengths[swap[k]].astype(float)
+            assert moved.h_shuffled == float(np.mean([
+                dfa.shuffled_hurst(series, dfa_config,
+                                   harness._shuffle_seed(config, "book",
+                                                         kind, s))
+                for s in range(harness.N_SHUFFLES)]))
+            if swap[k] != k:
+                assert moved.h_shuffled != stayed.h_shuffled
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(lengths=book_lengths())
+    def test_a_new_book_id_moves_only_the_id_and_the_shuffles(self,
+                                                              lengths):
+        config = AnalysisConfig()
+        before = analyze_lengths("one", lengths, config)
+        after = analyze_lengths("two", lengths, config)
+        assert after.book_id == "two"
+        for kind in CANONICAL_ORDER:
+            assert after.hurst[kind].h_shuffled != (
+                before.hurst[kind].h_shuffled)
+        assert dataclasses.replace(after, book_id="one", hurst={
+            kind: dataclasses.replace(est, h_shuffled=before.hurst[
+                kind].h_shuffled) for kind, est in after.hurst.items()
+        }) == before
