@@ -124,21 +124,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("inputs must be one-dimensional")
-    if not np.isfinite(values).all():
-        raise ValueError("inputs must be finite")
-    return values
-
-
 def rank_table(values) -> RankTable:
     """The table of a finite one-dimensional series; a table is returned
     as it is."""
     if isinstance(values, RankTable):
         return values
-    row = _validate(values)
+    row = np.asarray(values, dtype=float)
+    if row.ndim != 1:
+        raise ValueError("inputs must be one-dimensional")
+    if not np.isfinite(row).all():
+        raise ValueError("inputs must be finite")
     if row.flags.writeable:
         # a view, so that the table cannot write to the caller's array
         row = row.view()

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._dot import dot
+from .correlation import RankTable, rank_table
 from .exceptions import DegenerateInputError
 
 DEFAULT_MIN_WINDOW = 8
@@ -92,11 +93,11 @@ class HurstEstimate:
 
 
 def integrate_profile(series) -> np.ndarray:
-    arr = np.asarray(series, dtype=float)
-    if arr.size == 0:
+    row = rank_table(series).row
+    if row.size == 0:
         raise DegenerateInputError("empty series has no profile")
     # ndarray.mean's own arithmetic, without its per-call overhead
-    return (arr - np.add.reduce(arr) / arr.size).cumsum()
+    return (row - np.add.reduce(row) / row.size).cumsum()
 
 
 @lru_cache(maxsize=64)
@@ -148,6 +149,8 @@ def _residual_operator(m: int, detrend_degree: int) -> np.ndarray:
 def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
     """RMS residual after per-window polynomial detrending at window size m."""
     profile = np.asarray(profile, dtype=float)
+    if profile.ndim != 1:
+        raise ValueError("profile must be one-dimensional")
     n = profile.size
     if m < detrend_degree + 2:
         raise ValueError(f"window {m} underdetermines a degree-{detrend_degree} fit")
@@ -171,14 +174,13 @@ def fluctuation(profile, m: int, detrend_degree: int = 1) -> float:
 
 def dfa_curve(series, config: DfaConfig) -> np.ndarray:
     """F(m) at each of the config's window sizes, in order."""
-    series = np.asarray(series, dtype=float)
+    profile = integrate_profile(series)
     ws = config.window_sizes
-    if series.size < 4 * ws[-1]:
+    if profile.size < 4 * ws[-1]:
         raise DegenerateInputError(
-            f"series of length {series.size} too short for window "
+            f"series of length {profile.size} too short for window "
             f"{ws[-1]} (need >= {4 * ws[-1]})"
         )
-    profile = integrate_profile(series)
     return np.array([fluctuation(profile, m, config.detrend_degree)
                      for m in ws])
 
@@ -246,9 +248,11 @@ def shuffled_hurst(series, config: DfaConfig, seed: int) -> float:
     """Hurst exponent of a uniform random permutation of the series drawn
     from `seed`; the expected value for any ordering-driven persistence
     is 0.5.  It is `hurst_of_series(...).h` of the permutation, from the
-    slope alone: no intercept or r^2."""
+    slope alone: no intercept or r^2.  The permutation of the checked row
+    is a table built unchecked, as a table builds its midranks'."""
     shuffled = np.random.default_rng(seed).permutation(
-        np.asarray(series, dtype=float))
+        rank_table(series).row)
+    shuffled.setflags(write=False)
     *_, weights, lf = _positive_fit(config.window_sizes,
-                                    dfa_curve(shuffled, config))
+                                    dfa_curve(RankTable(shuffled), config))
     return float(np.dot(weights, lf))

@@ -21,15 +21,16 @@ class KsResult:
 
 
 def mean_normalize(series) -> np.ndarray:
-    arr = np.asarray(series, dtype=float)
-    if arr.size == 0:
+    table = rank_table(series)
+    return table.row / _nonzero_mean(table)
+
+
+def _nonzero_mean(table) -> np.float64:
+    if table.size == 0:
         raise DegenerateInputError("cannot normalize an empty series")
-    if not np.isfinite(arr).all():
-        raise ValueError("series must be finite")
-    mean = arr.mean()
-    if mean == 0:
+    if table.mean == 0:
         raise DegenerateInputError("cannot normalize a zero-mean series")
-    return arr / mean
+    return table.mean
 
 
 def ks_distance(a, b) -> float:

@@ -184,10 +184,9 @@ def analyze_lengths(book_id: str, lengths,
         doc.sentence_count, detrend_degree=config.dfa_degree,
         min_window=config.dfa_min_window,
         max_fraction=config.dfa_max_fraction, num=config.dfa_points)
-    values = extract_all(doc)
-    # one table per series feeds all 15 pairs; each field is computed on
-    # its first read, so an all-zero series still fails in pearson first
-    tables = [correlation.rank_table(v) for v in values]
+    # one table per series feeds every statistic; each field is computed
+    # on its first read, so an all-zero series still fails in pearson first
+    tables = [correlation.rank_table(v) for v in extract_all(doc)]
 
     pair_stats = []
     for i, j in PAIR_INDICES:
@@ -203,21 +202,21 @@ def analyze_lengths(book_id: str, lengths,
                                                        config.p_threshold),
             linear_map=correlation.fit_linear_map(tx, ty),
         ))
-    # the 15 plain KS tests read one grid of the six mean-normalized rows,
-    # each sorted once by its table; after the pair loop, so an all-zero
-    # series fails in pearson before mean_normalize refuses its zero mean
-    normalized = [correlation.rank_table(distribution.mean_normalize(v))
-                  for v in values]
+    # the 15 plain KS tests read each sorted row over its mean, reversed if
+    # the mean is negative; after the pair loop, so that an all-zero series
+    # fails in pearson before its zero mean is refused
+    normalized = [(t.sorted / distribution._nonzero_mean(t))[
+        ::-1 if t.mean < 0 else 1] for t in tables]
     comparisons = tuple(
         ComparisonResult(ks_plain=ks, **stats) for stats, ks in zip(
-            pair_stats, distribution.ks_pairwise(
+            pair_stats, distribution._ks_tests(
                 normalized, PAIR_INDICES, config.p_threshold)))
 
     hurst = {}
-    for kind, v in zip(CANONICAL_ORDER, values):
-        est = dfa.hurst_of_series(v, dfa_config)
+    for kind, table in zip(CANONICAL_ORDER, tables):
+        est = dfa.hurst_of_series(table, dfa_config)
         h_star = float(np.mean([
-            dfa.shuffled_hurst(v, dfa_config,
+            dfa.shuffled_hurst(table, dfa_config,
                                _shuffle_seed(config, doc.id, kind, k))
             for k in range(N_SHUFFLES)
         ]))

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentlen import dfa
+from sentlen.correlation import rank_table
 from sentlen.dfa import (
     DfaConfig,
     _detrend_basis,
@@ -618,6 +620,97 @@ class TestShuffled:
         series = np.random.default_rng(6).standard_normal(8000)
         cfg = default_config(8000)
         assert 0.4 < shuffled_hurst(series, cfg, 0) < 0.6
+
+
+_CONFIG_200 = default_config(200)
+#: every DFA entry point that takes a series, with its other arguments
+_ENTRY_POINTS = {
+    "integrate_profile": integrate_profile,
+    "dfa_curve": lambda s: dfa_curve(s, _CONFIG_200),
+    "hurst_of_series": lambda s: hurst_of_series(s, _CONFIG_200),
+    "shuffled_hurst": lambda s: shuffled_hurst(s, _CONFIG_200, 0),
+}
+
+
+def _row_with(value):
+    row = np.random.default_rng(8).integers(1, 40, 200).astype(float)
+    row[17] = value
+    return row
+
+
+class TestRefusal:
+    """Every DFA entry point reads its series through `rank_table`, so it
+    refuses what the rank tests refuse, before any arithmetic warns."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("series, match", [
+        (np.random.default_rng(8).integers(1, 40, (2, 200)).astype(float),
+         "one-dimensional"),
+        (_row_with(math.nan), "finite"),
+        (_row_with(math.inf), "finite"),
+        (_row_with(-math.inf), "finite"),
+    ], ids=["2-d", "nan", "+inf", "-inf"])
+    def test_refused(self, entry, series, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                _ENTRY_POINTS[entry](series)
+
+    def test_fluctuation_refuses_a_2d_profile(self):
+        profile = integrate_profile(_row_with(3.0)).reshape(2, 100)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            fluctuation(profile, 8)
+
+
+def _outcome(fn, *args):
+    """What fn returns, as exact bytes or repr, or the error it raises."""
+    try:
+        value = fn(*args)
+    except DegenerateInputError as exc:
+        return "DegenerateInputError", str(exc)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    return repr(value)
+
+
+def _old_dfa_curve(series, config):
+    """dfa_curve before it read a table: the profile of the series as a
+    float array, in integrate_profile's arithmetic."""
+    series = np.asarray(series, dtype=float)
+    profile = (series - np.add.reduce(series) / series.size).cumsum()
+    return np.array([fluctuation(profile, m, config.detrend_degree)
+                     for m in config.window_sizes])
+
+
+def _old_shuffled_hurst(series, config, seed):
+    """shuffled_hurst before it read a table: the slope of the curve of a
+    permutation of the series as a float array."""
+    shuffled = np.random.default_rng(seed).permutation(
+        np.asarray(series, dtype=float))
+    return estimate_hurst(config.window_sizes,
+                          _old_dfa_curve(shuffled, config)).h
+
+
+class TestTableOrRow:
+    """A series and its table give the same bits through every DFA entry
+    point, and the bits of the paths that took the series as an array."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(50, 2000), seed=st.integers(0, 2 ** 32 - 1),
+           top=st.integers(2, 60))
+    def test_same_bits(self, n, seed, top):
+        row = np.random.default_rng(seed).integers(0, top, n)
+        table = rank_table(row)
+        config = default_config(n)
+        for series in (row, table):
+            assert _outcome(dfa_curve, series, config) == _outcome(
+                _old_dfa_curve, row, config)
+            assert _outcome(hurst_of_series, series, config) == _outcome(
+                lambda s, c: estimate_hurst(c.window_sizes,
+                                            _old_dfa_curve(s, c)),
+                row, config)
+            assert _outcome(shuffled_hurst, series, config, seed) == (
+                _outcome(_old_shuffled_hurst, row, config, seed))
 
 
 def test_white_noise_hurst_near_half():

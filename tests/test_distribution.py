@@ -42,6 +42,11 @@ class TestMeanNormalize:
         with pytest.raises(DegenerateInputError):
             mean_normalize([-1, 1])
 
+    def test_two_dimensional(self):
+        # read through rank_table, as every statistic reads its series
+        with pytest.raises(ValueError, match="one-dimensional"):
+            mean_normalize(np.arange(1.0, 13.0).reshape(3, 4))
+
 
 class TestKsDistance:
     def test_identical(self):

@@ -141,16 +141,15 @@ class TestAnalyzeBook:
     def test_each_series_prepared_once(self, tmp_path, monkeypatch):
         path = tmp_path / "book.txt"
         path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
-        normalized, dfa_inputs, checks = [], [], []
-        normalized_rows = []
+        normalized, dfa_inputs, checks, built = [], [], [], []
         mean_normalize = distribution.mean_normalize
         hurst_of_series = dfa.hurst_of_series
         post_init = dfa.DfaConfig.__post_init__
+        rank_table = correlation.rank_table
 
         def record_normalize(series):
             normalized.append(series)
-            normalized_rows.append(mean_normalize(series))
-            return normalized_rows[-1]
+            return mean_normalize(series)
 
         def record_hurst(series, config):
             dfa_inputs.append(series)
@@ -159,6 +158,12 @@ class TestAnalyzeBook:
         def record_check(config):
             checks.append(config)
             post_init(config)
+
+        def record_table(values):
+            table = rank_table(values)
+            if table is not values:
+                built.append(table)
+            return table
 
         ranked = []
         ties = correlation._ties
@@ -193,16 +198,21 @@ class TestAnalyzeBook:
         correlation._concordance.cache_clear()
         monkeypatch.setattr(harness, "extract_all", record_extract)
         monkeypatch.setattr(distribution, "mean_normalize", record_normalize)
+        for module in (correlation, distribution, dfa):
+            monkeypatch.setattr(module, "rank_table", record_table)
         monkeypatch.setattr(dfa, "hurst_of_series", record_hurst)
         monkeypatch.setattr(dfa.DfaConfig, "__post_init__", record_check)
         monkeypatch.setattr(correlation, "_ties", record_ties)
         monkeypatch.setattr(np, "polyfit", no_polyfit)
         assert isinstance(analyze_book(path, AnalysisConfig()), BookReport)
-        assert len(normalized) == 6 and len(checks) == 1
-        # the DFA reads the very float rows the comparisons normalized
-        rows = [id(s) for s in normalized]
-        assert [id(s) for s in dfa_inputs if id(s) in rows] == rows
-        assert all(s.dtype == float for s in normalized)
+        # the plain KS tests read the tables: nothing is mean_normalized
+        assert normalized == [] and len(checks) == 1
+        # one table per series is built from an array, and the DFA reads
+        # those six tables
+        assert len(built) == 6
+        assert [id(s) for s in dfa_inputs] == [id(t) for t in built]
+        rows = [id(t.row) for t in built]
+        assert all(t.row.dtype == float for t in built)
         # the 45 rank tests rank those rows once each, and nothing else
         assert [id(s) for s in ranked] == rows
         # and they are the rows of the book's one extract_all
@@ -214,12 +224,9 @@ class TestAnalyzeBook:
         # memo
         memo = correlation._concordance.cache_info()
         assert (memo.misses, memo.hits) == (15, 15)
-        # no KS call sorts: each row and each normalized row is sorted
-        # once, by its table, for all 30 KS tests (a table holds a
-        # read-only view of a writeable array)
-        expected = rows + [id(s) for s in normalized_rows]
-        assert sorted(id(s) if id(s) in expected else id(s.base)
-                      for s in sorted_rows) == sorted(expected)
+        # no KS call sorts: each row is sorted once, by its table, for all
+        # 30 KS tests
+        assert sorted(id(s) for s in sorted_rows) == sorted(rows)
 
     def test_finished_book_keeps_at_most_two_tables(self, tmp_path,
                                                     monkeypatch):
@@ -1180,6 +1187,24 @@ def _by_pair(report):
 _ORDER_FREE = ("spearman", "kendall", "gamma", "ks_plain", "ks_mapped")
 #: the fields that hold x and y in the same roles
 _SYMMETRIC = ("pearson", "spearman", "kendall", "gamma", "ks_plain")
+
+
+class TestPlainKs:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(lengths=book_lengths(),
+           signs=st.lists(st.sampled_from([1, -1]), min_size=6, max_size=6))
+    def test_is_ks_pairwise_of_the_mean_normalized_rows(self, lengths,
+                                                        signs):
+        # the path that normalized and sorted each row again is the
+        # reference; a negated row has a negative mean, over which its
+        # table's sorted row reads in reverse
+        lengths = lengths * np.array(signs)[:, None]
+        config = AnalysisConfig()
+        report = analyze_lengths("book", lengths, config)
+        assert [c.ks_plain for c in report.comparisons] == (
+            distribution.ks_pairwise(
+                [distribution.mean_normalize(row) for row in lengths],
+                PAIR_INDICES, config.p_threshold))
 
 
 class TestAnalyzeLengthsInvariance:
