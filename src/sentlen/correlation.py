@@ -56,8 +56,8 @@ class RankTestResult:
 class RankTable:
     """One series, read-only, and what the statistics read from it:
 
-    - its float row, the row's mean, the centred row and its sum of
-      squares (Pearson's r and the linear map)
+    - its row (int64 or float64), the row's mean, the centred row and its
+      sum of squares (Pearson's r and the linear map)
     - the dense rank of each value (0 for the smallest) and the
       multiplicity of each distinct value (the rank tests)
     - the table of the 1-based midranks, whose centred row and sum of
@@ -126,10 +126,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def rank_table(values) -> RankTable:
     """The table of a finite one-dimensional series; a table is returned
-    as it is."""
+    as it is.  Signed integers give an int64 row, anything else float64."""
     if isinstance(values, RankTable):
         return values
-    row = np.asarray(values, dtype=float)
+    row = np.asarray(values)
+    row = row.astype(np.int64 if row.dtype.kind == "i" else float, copy=False)
     if row.ndim != 1:
         raise ValueError("inputs must be one-dimensional")
     if not np.isfinite(row).all():

@@ -96,8 +96,8 @@ def integrate_profile(series) -> np.ndarray:
     row = rank_table(series).row
     if row.size == 0:
         raise DegenerateInputError("empty series has no profile")
-    # ndarray.mean's own arithmetic, without its per-call overhead
-    return (row - np.add.reduce(row) / row.size).cumsum()
+    # ndarray.mean's float64 sum, without its overhead: an int64 sum wraps
+    return (row - np.add.reduce(row, dtype=float) / row.size).cumsum()
 
 
 @lru_cache(maxsize=64)

@@ -10,8 +10,6 @@ __all__ = ["CANONICAL_ORDER", "MeasureKind", "extract_all"]
 
 
 def extract_all(doc: Document) -> list[np.ndarray]:
-    """All six series as read-only float64 rows, in canonical order and
-    aligned by sentence index: row k is measure CANONICAL_ORDER[k]."""
-    values = doc.lengths.astype(float)
-    values.setflags(write=False)
-    return list(values)
+    """All six series as read-only int64 rows, views of `doc.lengths`, in
+    canonical order: row k is measure CANONICAL_ORDER[k] of every sentence."""
+    return list(doc.lengths)

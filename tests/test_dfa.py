@@ -45,6 +45,26 @@ class TestProfile:
         with pytest.raises(DegenerateInputError):
             integrate_profile([])
 
+    def test_int64_row_near_2_62_sums_in_float(self):
+        # 300 values near 2**62 sum past int64: an int64 sum would wrap
+        # to a negative mean with no warning, so the profile and the
+        # curve must come out as those of the row's float64 copy
+        row = np.random.default_rng(9).integers(2 ** 62 - 2 ** 58, 2 ** 62,
+                                                300)
+        copy = row.astype(float)
+        table, copy_table = rank_table(row), rank_table(copy)
+        assert table.row.dtype == np.int64
+        assert integrate_profile(row).tobytes() == \
+            integrate_profile(copy).tobytes()
+        config = default_config(300)
+        assert dfa_curve(row, config).tobytes() == \
+            dfa_curve(copy, config).tobytes()
+        # the table's own reductions of the row: ndarray.mean sums an
+        # integer row in float64, and the centred row is float64
+        assert repr(table.mean) == repr(copy_table.mean)
+        assert table.centred.tobytes() == copy_table.centred.tobytes()
+        assert table.sum_sq == copy_table.sum_sq
+
 
 class TestFluctuation:
     def test_linear_profile_vanishes_with_degree_one(self):
@@ -620,6 +640,67 @@ class TestShuffled:
         series = np.random.default_rng(6).standard_normal(8000)
         cfg = default_config(8000)
         assert 0.4 < shuffled_hurst(series, cfg, 0) < 0.6
+
+
+def _fraction_inverse(matrix):
+    """The inverse of a square matrix of integers, exactly, by
+    Gauss-Jordan elimination in Fraction."""
+    k = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                          for j in range(k)]
+            for i, row in enumerate(matrix)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[k:] for row in rows]
+
+
+def exact_residual_operator(m, deg):
+    """I - V (V^T V)^-1 V^T in Fraction, V the (m, deg + 1) Vandermonde
+    matrix of 0, 1, ..., m - 1: the degree-deg residual operator, exactly,
+    built apart from `_residual_operator`'s Gram-Schmidt."""
+    k = deg + 1
+    v = [[i ** a for a in range(k)] for i in range(m)]
+    gram = [[sum(row[a] * row[b] for row in v) for b in range(k)]
+            for a in range(k)]
+    inverse = _fraction_inverse(gram)
+    h = [[sum(row[a] * inverse[a][b] for a in range(k)) for b in range(k)]
+         for row in v]
+    return [[int(i == j) - sum(h[i][b] * v[j][b] for b in range(k))
+             for j in range(m)] for i in range(m)]
+
+
+#: a_l of the permutation-expected squared fluctuation at degree l
+_SHUFFLE_A = {1: Fraction(1, 15), 2: Fraction(3, 70), 3: Fraction(2, 63)}
+
+
+class TestShuffledClosedForm:
+    """The shuffled control's expectation in closed form.  Under a uniform
+    permutation the centred values have covariance
+    sigma^2 n / (n - 1) (I - J / n), so a window's profile has covariance
+    proportional to Min[i, j] = min(i, j) + 1 plus terms constant or
+    linear in each index, which the degree-l fit removes.  A window's
+    expected squared residual is then sigma^2 n / (n - 1) tr(R Min) / m,
+    R the residual operator, whatever the window's position, and
+    tr(R Min) / m = a_l (m^2 - (l + 1)^2) / m."""
+
+    @pytest.mark.parametrize("deg", [1, 2, 3])
+    def test_operator_and_trace(self, deg):
+        for m in range(deg + 2, 33):
+            exact = exact_residual_operator(m, deg)
+            # each entry correctly rounded: Fraction's float is
+            assert _residual_operator(m, deg).tolist() == [
+                [float(x) for x in row] for row in exact]
+            trace = sum(exact[i][j] * (min(i, j) + 1)
+                        for i in range(m) for j in range(m))
+            assert trace / m == _SHUFFLE_A[deg] * (
+                m * m - (deg + 1) ** 2) / m
 
 
 _CONFIG_200 = default_config(200)

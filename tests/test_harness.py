@@ -212,7 +212,8 @@ class TestAnalyzeBook:
         assert len(built) == 6
         assert [id(s) for s in dfa_inputs] == [id(t) for t in built]
         rows = [id(t.row) for t in built]
-        assert all(t.row.dtype == float for t in built)
+        # the tables hold the int64 rows of the lengths, uncopied
+        assert all(t.row.dtype == np.int64 for t in built)
         # the 45 rank tests rank those rows once each, and nothing else
         assert [id(s) for s in ranked] == rows
         # and they are the rows of the book's one extract_all

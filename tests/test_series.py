@@ -59,11 +59,13 @@ class TestInvariants:
         for s in extract_all(doc):
             assert len(s) == doc.sentence_count
 
-    def test_float_rows_equal_to_the_lengths(self, stops, lexicon):
+    def test_int64_views_of_the_lengths(self, stops, lexicon):
+        # the rows are the lengths themselves, not a copy
         doc = self._doc(stops, lexicon)
         rows = extract_all(doc)
-        assert all(s.dtype == np.float64 and s.ndim == 1 for s in rows)
+        assert all(s.dtype == np.int64 and s.ndim == 1 for s in rows)
         assert np.array_equal(np.stack(rows), doc.lengths)
+        assert all(np.shares_memory(s, doc.lengths) for s in rows)
 
     def test_rows_read_only(self, stops, lexicon):
         doc = self._doc(stops, lexicon)
