@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import logging
@@ -29,10 +28,6 @@ log = logging.getLogger(__name__)
 #: Canonical enumeration of the 15 measure pairs (indices into CANONICAL_ORDER).
 PAIR_INDICES: tuple[tuple[int, int], ...] = tuple(
     combinations(range(len(CANONICAL_ORDER)), 2))
-
-#: shuffled controls averaged per series; a single permutation leaves
-#: ~0.03 estimator noise on h*, averaging tightens the control
-N_SHUFFLES = 8
 
 
 @dataclass(frozen=True)
@@ -151,13 +146,6 @@ def _resources(stopwords_path, lemmas_path):
     return stops, lexicon
 
 
-def _shuffle_seed(config: AnalysisConfig, book_id: str, kind: MeasureKind,
-                  index: int) -> int:
-    # stable across runs and worker scheduling; hash() is salted, so use sha256
-    digest = hashlib.sha256(f"{book_id}/{kind.label}/{index}".encode()).digest()
-    return (config.seed << 64) ^ int.from_bytes(digest[:8], "big")
-
-
 def analyze_book(path, config: AnalysisConfig) -> BookReport | SkippedBook:
     """Full per-book pipeline: `load_document`, then `analyze_lengths` of
     its lengths.  Raises IngestionError for unreadable files."""
@@ -212,15 +200,9 @@ def analyze_lengths(book_id: str, lengths,
             pair_stats, distribution._ks_tests(
                 normalized, PAIR_INDICES, config.p_threshold)))
 
-    hurst = {}
-    for kind, table in zip(CANONICAL_ORDER, tables):
-        est = dfa.hurst_of_series(table, dfa_config)
-        h_star = float(np.mean([
-            dfa.shuffled_hurst(table, dfa_config,
-                               _shuffle_seed(config, doc.id, kind, k))
-            for k in range(N_SHUFFLES)
-        ]))
-        hurst[kind] = dataclasses.replace(est, h_shuffled=h_star)
+    hurst = {kind: dfa.hurst_with_control(table, dfa_config, config.seed,
+                                          f"{doc.id}/{kind.label}")
+             for kind, table in zip(CANONICAL_ORDER, tables)}
 
     hs = [hurst[k].h for k in CANONICAL_ORDER]
     max_delta = max(abs(hs[i] - hs[j]) for i, j in PAIR_INDICES)

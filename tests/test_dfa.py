@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -44,6 +45,21 @@ class TestProfile:
     def test_empty(self):
         with pytest.raises(DegenerateInputError):
             integrate_profile([])
+
+    def test_profile_is_one_array(self):
+        # the centred row is cumulated in place: apart from numpy's cast
+        # buffer, the profile is the only array of n floats the call makes;
+        # a cumsum into a second array peaked at 2 x 8n
+        n = 10 ** 5
+        row = np.random.default_rng(1).integers(1, 40, n)
+        integrate_profile(row[:10])
+        tracemalloc.start()
+        try:
+            integrate_profile(row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n
 
     def test_int64_row_near_2_62_sums_in_float(self):
         # 300 values near 2**62 sum past int64: an int64 sum would wrap
@@ -702,6 +718,28 @@ class TestShuffledClosedForm:
             assert trace / m == _SHUFFLE_A[deg] * (
                 m * m - (deg + 1) ** 2) / m
 
+    @pytest.mark.parametrize("deg", [1, 2])
+    def test_mean_of_the_seeded_permutations(self, deg):
+        # 400 permutations drawn as hurst_with_control draws its controls:
+        # their mean F^2 lies within 4 standard errors of the closed form
+        # at every window of the default grid, sigma^2 the population
+        # variance; degree 3's closed form is checked by the trace alone
+        n, draws = 300, 400
+        series = np.random.default_rng(13).integers(1, 40, n)
+        cfg = default_config(n, detrend_degree=deg)
+        squares = np.array([
+            [fluctuation(integrate_profile(
+                np.random.default_rng(dfa._shuffle_seed(
+                    0, "book/N_w", k)).permutation(series)), m, deg) ** 2
+             for m in cfg.window_sizes]
+            for k in range(draws)])
+        m = np.array(cfg.window_sizes)
+        expected = series.var() * n / (n - 1) * float(_SHUFFLE_A[deg]) * (
+            m * m - (deg + 1) ** 2) / m
+        error = squares.std(axis=0, ddof=1) / math.sqrt(draws)
+        assert len(m) == 16
+        assert np.all(np.abs(squares.mean(axis=0) - expected) <= 4 * error)
+
 
 _CONFIG_200 = default_config(200)
 #: every DFA entry point that takes a series, with its other arguments
@@ -710,6 +748,8 @@ _ENTRY_POINTS = {
     "dfa_curve": lambda s: dfa_curve(s, _CONFIG_200),
     "hurst_of_series": lambda s: hurst_of_series(s, _CONFIG_200),
     "shuffled_hurst": lambda s: shuffled_hurst(s, _CONFIG_200, 0),
+    "hurst_with_control": lambda s: dfa.hurst_with_control(
+        s, _CONFIG_200, 0, "book/N_w"),
 }
 
 
@@ -792,6 +832,48 @@ class TestTableOrRow:
                 row, config)
             assert _outcome(shuffled_hurst, series, config, seed) == (
                 _outcome(_old_shuffled_hurst, row, config, seed))
+
+
+class TestHurstWithControl:
+    @pytest.mark.parametrize("seed, key, k, expected", [
+        (0, "book/N_w", 0, 13690432689586129352),
+        (3, "book/N_Sl", 7, 63384892111170119806),
+    ])
+    def test_shuffle_seed_is_pinned(self, seed, key, k, expected):
+        # seed << 64 xor the first 8 bytes of sha256(f"{key}/{k}"): another
+        # seed moves every h_shuffled the outputs hold
+        assert dfa._shuffle_seed(seed, key, k) == expected
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_is_the_real_estimate_and_the_mean_control(self, n):
+        series = np.random.default_rng(n).integers(1, 40, n)
+        cfg = default_config(n)
+        est = dfa.hurst_with_control(series, cfg, 5, "key")
+        assert dataclasses.replace(est, h_shuffled=math.nan) == \
+            hurst_of_series(series, cfg)
+        assert est.h_shuffled == float(np.mean([
+            shuffled_hurst(series, cfg, dfa._shuffle_seed(5, "key", k))
+            for k in range(dfa.N_SHUFFLES)]))
+
+    def test_one_real_curve_and_eight_shuffled(self, monkeypatch):
+        calls = {"fluctuation": 0, "shuffled_hurst": 0,
+                 "hurst_of_series": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(dfa, name, counted(name, getattr(dfa, name)))
+        series = np.random.default_rng(4).integers(1, 40, 300)
+        cfg = default_config(300)
+        assert len(cfg.window_sizes) == 16
+        dfa.hurst_with_control(series, cfg, 0, "book/N_w")
+        # nine curves of 16 windows: the real series and N_SHUFFLES
+        assert calls == {"fluctuation": 144, "shuffled_hurst": 8,
+                         "hurst_of_series": 1}
 
 
 def test_white_noise_hurst_near_half():

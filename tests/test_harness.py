@@ -229,6 +229,27 @@ class TestAnalyzeBook:
         # 30 KS tests
         assert sorted(id(s) for s in sorted_rows) == sorted(rows)
 
+    def test_one_hurst_with_control_call_per_series(self, monkeypatch):
+        # the DFA of a book is one call per series, in CANONICAL_ORDER, on
+        # the series' table, keyed by the book and the measure's label
+        calls = []
+        hurst_with_control = dfa.hurst_with_control
+
+        def record(series, config, seed, key):
+            calls.append((series, seed, key,
+                          hurst_with_control(series, config, seed, key)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(dfa, "hurst_with_control", record)
+        lengths = np.random.default_rng(3).integers(1, 40, (6, 300))
+        rep = analyze_lengths("book", lengths, AnalysisConfig(seed=5))
+        assert [(seed, key) for _, seed, key, _ in calls] == [
+            (5, f"book/{kind.label}") for kind in CANONICAL_ORDER]
+        for k, (series, *_, est) in enumerate(calls):
+            assert isinstance(series, correlation.RankTable)
+            assert series.row.tolist() == lengths[k].tolist()
+            assert rep.hurst[CANONICAL_ORDER[k]] is est
+
     def test_finished_book_keeps_at_most_two_tables(self, tmp_path,
                                                     monkeypatch):
         # the concordance memo holds one pair, so at most the last pair's
@@ -1272,10 +1293,9 @@ class TestAnalyzeLengthsInvariance:
             # the shuffled control follows the label: its seeds hash it
             series = lengths[swap[k]].astype(float)
             assert moved.h_shuffled == float(np.mean([
-                dfa.shuffled_hurst(series, dfa_config,
-                                   harness._shuffle_seed(config, "book",
-                                                         kind, s))
-                for s in range(harness.N_SHUFFLES)]))
+                dfa.shuffled_hurst(series, dfa_config, dfa._shuffle_seed(
+                    config.seed, f"book/{kind.label}", s))
+                for s in range(dfa.N_SHUFFLES)]))
             if swap[k] != k:
                 assert moved.h_shuffled != stayed.h_shuffled
 

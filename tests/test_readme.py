@@ -24,6 +24,8 @@ def test_the_library_example_reads_a_book(tmp_path, monkeypatch):
     assert len(names["series"]) == 6
     assert -1.0 <= names["r"] <= 1.0
     assert np.isfinite(names["h"])
+    assert names["est"].h == names["h"]
+    assert np.isfinite(names["est"].h_shuffled)
 
 
 def test_the_inspection_example_prints_each_sentence(capsys):
