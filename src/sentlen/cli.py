@@ -8,8 +8,9 @@ import logging
 import os
 import sys
 
+from .emit import _path, emit_reports
 from .exceptions import ConfigError, SentlenError
-from .harness import AnalysisConfig, _path, analyze_corpus, emit_reports
+from .harness import AnalysisConfig, analyze_corpus
 
 log = logging.getLogger("sentlen")
 

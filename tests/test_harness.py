@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from sentlen import cli, correlation, dfa, distribution, harness, textpipe
+from sentlen import cli, correlation, dfa, distribution, emit, harness, textpipe
 from sentlen.cli import main as cli_main
 from sentlen.correlation import LinearMap, RankTestResult
 from sentlen.dfa import HurstEstimate
@@ -131,7 +132,7 @@ class TestAnalyzeBook:
         path = tmp_path / "book.txt"
         path.write_text(corpusgen.build_book(300, seed=1), encoding="utf-8")
         rep = analyze_book(path, AnalysisConfig(p_threshold=np.float64(0.5)))
-        for c in harness._book_record(rep)["comparisons"]:
+        for c in emit._json_value(rep)["comparisons"]:
             decisions = [c[test]["rejected"]
                          for test in ("spearman", "kendall", "gamma")]
             decisions += [c[test]["accepted"]
@@ -485,16 +486,17 @@ class TestEmitReports:
             raise KeyboardInterrupt
 
         with monkeypatch.context() as m:
-            m.setattr(harness.os, "replace", interrupt)
+            m.setattr(emit.os, "replace", interrupt)
             for path in (tmp_path / "new.csv", target):
                 with pytest.raises(KeyboardInterrupt):
-                    harness._write_atomic(path, "key,value\na,1\n")
+                    emit._write_atomic(path, "key,value\na,1\n")
         # no .tmp file, no new target, and the old target unchanged
         assert _tree(tmp_path) == {"old.csv": b"old\n"}
 
         # an unserializable record fails while rendering: nothing is written
-        monkeypatch.setattr(harness, "_book_record",
-                            lambda rep: {"a": object()})
+        json_text = emit._json_text
+        monkeypatch.setattr(emit, "_json_text",
+                            lambda record: json_text({"a": object()}))
         out = tmp_path / "out"
         with pytest.raises(TypeError):
             emit_reports(summary, reports, out, formats=("csv", "json"))
@@ -509,16 +511,16 @@ class TestEmitReports:
         emit_reports(*rerun, tmp_path / "seed1")
         assert _tree(tmp_path / "seed1") != before  # the seed moves h_shuffled
 
-        book_record = harness._book_record
+        json_text = emit._json_text
         rendered = []
 
-        def interrupt_at_second_book(rep):
-            rendered.append(rep.book_id)
+        def interrupt_at_second_book(record):
+            rendered.append(record["book_id"])
             if len(rendered) == 2:
                 raise KeyboardInterrupt
-            return book_record(rep)
+            return json_text(record)
 
-        monkeypatch.setattr(harness, "_book_record", interrupt_at_second_book)
+        monkeypatch.setattr(emit, "_json_text", interrupt_at_second_book)
         with pytest.raises(KeyboardInterrupt):
             emit_reports(*rerun, out)
         assert len(rendered) == 2
@@ -533,7 +535,7 @@ class TestEmitReports:
         def no_render(*args):
             raise AssertionError("rendered")
 
-        monkeypatch.setattr(harness, "_render", no_render)
+        monkeypatch.setattr(emit, "_render", no_render)
         for formats in (("JSON",), (), ("xml",), ("json", "xml")):
             with pytest.raises(ValueError, match="formats"):
                 emit_reports(*small_results, out, formats=formats)
@@ -549,17 +551,35 @@ class TestEmitReports:
         emit_reports(summary, reports, out, formats=("json", "csv"))
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
-        book_csv_rows = harness._book_csv_rows
+        book_csv_rows = emit._book_csv_rows
 
         def failing_rows(rep):
             yield from list(book_csv_rows(rep))[:3]
             raise OSError("disk full")
 
-        monkeypatch.setattr(harness, "_book_csv_rows", failing_rows)
+        monkeypatch.setattr(emit, "_book_csv_rows", failing_rows)
         with pytest.raises(OSError, match="disk full"):
             emit_reports(summary, reports, out, formats=("json", "csv"))
         after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert after == before
+
+    def test_nan_is_refused_before_writing(self, small_results, tmp_path):
+        # JSON has no NaN: a report holding hurst_of_series' default
+        # h_shuffled fails while rendering, so no file is written
+        summary, reports = small_results
+        out = tmp_path / "out"
+        emit_reports(summary, reports, out, formats=("json", "csv"))
+        before = _tree(out)
+        rep = reports[-1]
+        kind = CANONICAL_ORDER[0]
+        estimate = dataclasses.replace(rep.hurst[kind], h_shuffled=math.nan)
+        nan_reports = [*reports[:-1], dataclasses.replace(
+            rep, hurst={**rep.hurst, kind: estimate})]
+        for target in (out, tmp_path / "new"):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                emit_reports(summary, nan_reports, target)
+        assert _tree(out) == before
+        assert not (tmp_path / "new").exists()
 
 
 W, C = MeasureKind.WORDS, MeasureKind.CHARS
@@ -1254,7 +1274,7 @@ class TestAnalyzeLengthsInvariance:
             for x, y in [(a.pearson, b.pearson),
                          (a.linear_map.alpha, b.linear_map.alpha),
                          (a.linear_map.beta, b.linear_map.beta)]:
-                assert harness._fmt(y) == harness._fmt(x)
+                assert emit._fmt(y) == emit._fmt(x)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(lengths=book_lengths(),
