@@ -58,12 +58,13 @@ class RankTable:
 
     - its row (int64 or float64), the row's mean, the centred row and its
       sum of squares (Pearson's r and the linear map)
-    - the dense rank of each value (0 for the smallest) and the
-      multiplicity of each distinct value (the rank tests)
+    - the distinct values in ascending order, the dense rank of each
+      value (0 for the smallest) and the multiplicity of each distinct
+      value: the rank tests read the ranks and multiplicities, and the KS
+      tests the values and multiplicities, whose repeat is the sorted row
     - the table of the 1-based midranks, whose centred row and sum of
       squares give Spearman's rho
     - the three tie sums of the tau variance
-    - the sorted row (the KS tests)
 
     Only the row is held on construction; every other field is computed
     on first read, so a caller that reads only the ranks pays for nothing
@@ -89,17 +90,12 @@ class RankTable:
         return dot(self.centred, self.centred)
 
     @cached_property
-    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        dense, counts = _ties(self.row)
-        return _read_only(dense), _read_only(counts)
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, _ties(self.row)))
 
-    @property
-    def dense(self) -> np.ndarray:
-        return self._ranks[0]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._ranks[1]
+    values = property(lambda self: self._ranks[0])
+    dense = property(lambda self: self._ranks[1])
+    counts = property(lambda self: self._ranks[2])
 
     @cached_property
     def midranks(self) -> RankTable:
@@ -113,10 +109,6 @@ class RankTable:
         pairs2 = t * (t - 1)
         return (int(pairs2 @ (2 * t + 5)), int(pairs2.sum()),
                 int(pairs2 @ (t - 2)))
-
-    @cached_property
-    def sorted(self) -> np.ndarray:
-        return _read_only(np.sort(self.row))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -169,12 +161,12 @@ def _pearson(tx: RankTable, ty: RankTable) -> float:
         math.sqrt(tx.sum_sq) * math.sqrt(ty.sum_sq))
 
 
-def _ties(values) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ranks (0 for the smallest value) and the multiplicity of each
-    distinct value: the table every rank statistic reads its ties from."""
-    _, dense, counts = np.unique(values, return_inverse=True,
-                                 return_counts=True)
-    return dense, counts
+def _ties(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values in ascending order, the dense rank of each value
+    (0 for the smallest) and the multiplicity of each distinct value: the
+    table every rank statistic reads its ties from, and every KS test its
+    distribution."""
+    return np.unique(values, return_inverse=True, return_counts=True)
 
 
 def _pairs(counts) -> int:

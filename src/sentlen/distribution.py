@@ -36,32 +36,34 @@ def _nonzero_mean(table) -> np.float64:
 def ks_distance(a, b) -> float:
     """sup_x |C_a(x) - C_b(x)|, with C the right-continuous empirical CDF
     of a sample: C(x) = (# samples <= x) / n; from two samples or their
-    tables, of which it reads the sorted rows."""
-    return _sup_distance([rank_table(a).sorted, rank_table(b).sorted],
-                         [(0, 1)])[0]
+    tables, of which it reads the distinct values and their counts."""
+    return _sup_distance([(t.values, t.counts)
+                          for t in map(rank_table, (a, b))], [(0, 1)])[0]
 
 
-def _sup_distance(rows, pairs) -> list[float]:
-    """ks_distance of each pair (i, j) of the sorted samples `rows`.
+def _sup_distance(samples, pairs) -> list[float]:
+    """ks_distance of each pair (i, j) of the samples, each a table's
+    distinct values, or their image under a monotone map (read in reverse
+    if it decreases), and their counts.
 
-    Both CDFs are step functions, so the supremum is attained at a
-    sample point. Evaluating at the distinct values of each sorted row
-    (the last of each run of equal values) is exact, and reads the same
-    differences as the whole merged sample. Every pair reads one grid,
-    the run ends of all the rows: at a point of another row, each CDF of
-    the pair holds the value it takes at the pair's own last point below
-    it (or 0 below both rows), so the maximum is the same bits.
-    """
-    ends = []
-    for row in rows:
-        if row.size == 0:
+    Both CDFs are step functions, so the supremum is attained at a sample
+    point.  Every pair reads one grid, the values of all the samples: at a
+    point of another sample, each CDF of the pair holds its value at the
+    pair's own last point below it (or 0 below both), so the maximum is
+    the same bits.  A CDF there is the cumulative count at or below it
+    over n, as on a sorted row; `side="right"` counts every copy of a
+    value that rounding has made equal to its neighbour."""
+    grid = np.concatenate([values for values, _ in samples])
+    cdf = np.empty((len(samples), grid.size))
+    for k, (values, counts) in enumerate(samples):
+        if values.size == 0:
             raise DegenerateInputError(
                 "KS distance requires at least one sample per side")
-        ends += (row[:-1][row[1:] != row[:-1]], row[-1:])
-    grid = np.concatenate(ends)
-    cdf = [np.searchsorted(row, grid, side="right") / row.size
-           for row in rows]
-    cdf = np.array(cdf)
+        if values[0] > values[-1]:
+            values, counts = values[::-1], counts[::-1]
+        cum = np.concatenate(([0], np.cumsum(counts)))
+        np.divide(cum[np.searchsorted(values, grid, side="right")], cum[-1],
+                  out=cdf[k])
     diff = cdf[[i for i, _ in pairs]]
     diff -= cdf[[j for _, j in pairs]]
     return np.abs(diff, out=diff).max(axis=1).tolist()
@@ -92,17 +94,24 @@ def ks_two_sample(a, b, threshold: float = 0.01) -> KsResult:
 
 
 def ks_pairwise(samples, pairs, threshold: float = 0.01) -> list[KsResult]:
-    """ks_two_sample of each pair (i, j) of the samples, or of their
-    tables, in the order of `pairs`, from one grid of every sorted row.
-    The grid holds the distinct values of every row, and each pair takes
-    one array of its size."""
-    return _ks_tests([rank_table(s).sorted for s in samples], pairs,
-                     threshold)
+    """ks_two_sample of each pair (i, j) of the samples or their tables,
+    in the order of `pairs`, on one grid of every sample's values."""
+    return _ks_tests([(t.values, t.counts) for t in map(rank_table, samples)],
+                     pairs, threshold)
 
 
-def _ks_tests(rows, pairs, threshold: float) -> list[KsResult]:
-    """ks_pairwise of sorted samples."""
-    sizes = [row.size for row in rows]
+def ks_mean_normalized(samples, pairs,
+                       threshold: float = 0.01) -> list[KsResult]:
+    """ks_pairwise of the mean_normalize'd samples, bit for bit, from each
+    table's distinct values over its mean; no row of n values is copied.
+    Refuses an empty or zero-mean sample before it tests any pair."""
+    return _ks_tests([(t.values / _nonzero_mean(t), t.counts)
+                      for t in map(rank_table, samples)], pairs, threshold)
+
+
+def _ks_tests(samples, pairs, threshold: float) -> list[KsResult]:
+    """ks_pairwise of samples given as _sup_distance takes them."""
+    sizes = [int(counts.sum()) for _, counts in samples]
     for i, j in pairs:
         if sizes[i] < 5 or sizes[j] < 5:
             raise DegenerateInputError(
@@ -110,7 +119,7 @@ def _ks_tests(rows, pairs, threshold: float) -> list[KsResult]:
                 f"{sizes[j]}"
             )
     results = []
-    for (i, j), kappa in zip(pairs, _sup_distance(rows, pairs)):
+    for (i, j), kappa in zip(pairs, _sup_distance(samples, pairs)):
         n_e = sizes[i] * sizes[j] / (sizes[i] + sizes[j])
         lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * kappa
         p = kolmogorov_sf(lam)
@@ -125,14 +134,13 @@ def ks_after_linear_map(x_series, y_series, threshold: float = 0.01) -> KsResult
     tables.  No mean normalization: the map already aligns location and
     scale.
 
-    The map sorts nothing: rounding is monotone, so alpha times the
-    sorted x plus beta is sorted when alpha >= 0, and sorted in reverse
-    when alpha < 0."""
+    The map reads the k distinct values of x and sorts nothing: rounding
+    is monotone, so the mapped values are non-decreasing when alpha >= 0
+    and non-increasing, read in reverse, when alpha < 0."""
     tx, ty = rank_table(x_series), rank_table(y_series)
     lm = fit_linear_map(tx, ty)
-    mapped = lm.alpha * tx.sorted + lm.beta
+    mapped = lm.alpha * tx.values + lm.beta
     if not np.isfinite(mapped).all():
         raise ValueError("inputs must be finite")
-    if lm.alpha < 0:
-        mapped = mapped[::-1]
-    return _ks_tests([mapped, ty.sorted], [(0, 1)], threshold)[0]
+    return _ks_tests([(mapped, tx.counts), (ty.values, ty.counts)], [(0, 1)],
+                     threshold)[0]

@@ -49,14 +49,16 @@ class AnalysisConfig:
             value = getattr(self, name)
             try:
                 # a numpy integer is stored as a Python int: a numpy seed
-                # would overflow the shuffle seed's << 64
-                object.__setattr__(self, name, operator.index(value))
+                # would overflow the shuffle seed's << 64; a bool, like
+                # np.True_, is refused
+                object.__setattr__(self, name, operator.index(
+                    None if isinstance(value, bool) else value))
             except TypeError:
                 raise ConfigError(
                     f"{name} must be an integer, got {value!r}") from None
         for name in ("dfa_max_fraction", "p_threshold"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             # a numpy float is stored as the Python float it holds
             object.__setattr__(self, name, float(value))
@@ -188,15 +190,13 @@ def analyze_lengths(book_id: str, lengths,
                                                        config.p_threshold),
             linear_map=correlation.fit_linear_map(tx, ty),
         ))
-    # the 15 plain KS tests read each sorted row over its mean, reversed if
-    # the mean is negative; after the pair loop, so that an all-zero series
-    # fails in pearson before its zero mean is refused
-    normalized = [(t.sorted / distribution._nonzero_mean(t))[
-        ::-1 if t.mean < 0 else 1] for t in tables]
+    # the 15 plain KS tests read each table's distinct values over its
+    # mean; after the pair loop, so that an all-zero series fails in
+    # pearson before its zero mean is refused
     comparisons = tuple(
         ComparisonResult(ks_plain=ks, **stats) for stats, ks in zip(
-            pair_stats, distribution._ks_tests(
-                normalized, PAIR_INDICES, config.p_threshold)))
+            pair_stats, distribution.ks_mean_normalized(
+                tables, PAIR_INDICES, config.p_threshold)))
 
     hurst = {kind: dfa.hurst_with_control(table, dfa_config, config.seed,
                                           f"{doc.id}/{kind.label}")

@@ -253,8 +253,8 @@ class TestSpearman:
     def test_rho_is_pearson_of_midranks(self, pairs):
         x, y = (np.asarray(v, dtype=float) for v in zip(*pairs))
         rho = _outcome(lambda a, b: spearman(a, b).statistic, x, y)
-        assert rho == _outcome(pearson, _midranks(*_ties(x)),
-                               _midranks(*_ties(y)))
+        assert rho == _outcome(pearson, _midranks(*_ties(x)[1:]),
+                               _midranks(*_ties(y)[1:]))
         if np.ptp(x) == 0 or np.ptp(y) == 0:
             assert rho == (DegenerateInputError,
                            "zero variance input to pearson")
@@ -450,7 +450,7 @@ _TIED_FLOATS = st.lists(
 def _dense(values):
     """`_count_inversions`' arguments for `values`: its dense ranks and
     their count."""
-    ranks, counts = _ties(np.asarray(values))
+    _, ranks, counts = _ties(np.asarray(values))
     return ranks, counts.size
 
 
@@ -608,7 +608,7 @@ class TestRankTable:
            as_float=st.booleans())
     def test_midranks_equal_rankdata(self, values, as_float):
         arr = np.asarray(values, dtype=float if as_float else None)
-        assert np.array_equal(_midranks(*_ties(arr)),
+        assert np.array_equal(_midranks(*_ties(arr)[1:]),
                               scipy.stats.rankdata(arr))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -625,10 +625,11 @@ class TestRankTable:
     def test_ties_equal_unique(self, values):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dense, counts = _ties(values)
-        _, dense_u, counts_u = np.unique(values, return_inverse=True,
-                                         return_counts=True)
-        for got, want in [(dense, dense_u), (counts, counts_u)]:
+            distinct, dense, counts = _ties(values)
+        distinct_u, dense_u, counts_u = np.unique(
+            values, return_inverse=True, return_counts=True)
+        for got, want in [(distinct, distinct_u), (dense, dense_u),
+                          (counts, counts_u)]:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -837,12 +838,13 @@ class TestConcordanceMemo:
 class TestTableFields:
     def test_fields_are_computed_on_first_read(self):
         table = rank_table([3.0, 1.0, 3.0, 2.0])
-        assert "sorted" not in vars(table) and "centred" not in vars(table)
+        assert "_ranks" not in vars(table) and "centred" not in vars(table)
         concordance_counts(table, table)
         # the ranks alone were read
-        assert {"sorted", "mean", "centred", "midranks"}.isdisjoint(
-            vars(table))
-        assert table.sorted.tolist() == [1.0, 2.0, 3.0, 3.0]
+        assert {"mean", "centred", "midranks"}.isdisjoint(vars(table))
+        # the distinct values repeated by their counts are the sorted row
+        assert np.repeat(table.values, table.counts).tolist() == [
+            1.0, 2.0, 3.0, 3.0]
         assert table.centred.tolist() == [0.75, -1.25, 0.75, -0.25]
         assert table.sum_sq == 2.75
         assert table.tie_sums == (2 * 9, 2, 0)
@@ -850,8 +852,8 @@ class TestTableFields:
     def test_every_array_is_read_only(self):
         values = np.array([3.0, 1.0, 3.0, 2.0])
         table = rank_table(values)
-        for arr in (table.row, table.centred, table.dense, table.counts,
-                    table.midranks.row, table.midranks.centred, table.sorted):
+        for arr in (table.row, table.centred, table.values, table.dense,
+                    table.counts, table.midranks.row, table.midranks.centred):
             with pytest.raises(ValueError):
                 arr[0] = 0
         # the caller's array stays writeable, and a table is its own table

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from sentlen.correlation import fit_linear_map, rank_table
 from sentlen.distribution import (
     _sup_distance,
     kolmogorov_sf,
     ks_after_linear_map,
     ks_distance,
+    ks_mean_normalized,
     ks_pairwise,
     ks_two_sample,
     mean_normalize,
@@ -180,10 +183,12 @@ class TestPairwiseKs:
     @given(rows=st.lists(st.one_of(lengths.map(mean_normalize), tie_values),
                          min_size=6, max_size=6))
     def test_fifteen_pairs_match_two_row_distance(self, rows):
-        # rows of different lengths, heavy ties and signed zeros
+        # rows of different lengths, heavy ties and signed zeros, passed
+        # as each row's distinct values and their counts
         rows = [np.sort(np.asarray(r, dtype=float)) for r in rows]
         pairs = PAIR_INDICES + tuple((j, i) for i, j in PAIR_INDICES)
-        kappas = _sup_distance(rows, pairs)
+        kappas = _sup_distance(
+            [np.unique(r, return_counts=True) for r in rows], pairs)
         assert all(type(k) is float for k in kappas)
         assert kappas == [ks_distance(rows[i], rows[j]) for i, j in pairs]
         assert kappas == [full_grid_ks_distance(rows[i], rows[j])
@@ -203,6 +208,90 @@ class TestPairwiseKs:
         assert len(ks_pairwise(rows, [(0, 1)])) == 1
         with pytest.raises(DegenerateInputError, match="got 5 and 4"):
             ks_pairwise(rows, [(0, 1), (1, 2)])
+
+
+#: integer series whose distinct values may round together: near 2**53
+#: over a non-integer mean, or beside a few huge values that make the
+#: linear map's alpha tiny; negative series give a negative mean
+merging = st.one_of(
+    st.lists(st.integers(1, 40), min_size=5, max_size=120),
+    st.lists(st.integers(-40, -1), min_size=5, max_size=120),
+    st.lists(st.integers(2**53 - 40, 2**53 + 40), min_size=5, max_size=120),
+    st.lists(st.one_of(st.integers(0, 40),
+                       st.sampled_from([2**60, -2**60, 2**62])),
+             min_size=5, max_size=120),
+).map(lambda v: np.array(v, dtype=np.int64))
+
+
+class TestDistinctValueKs:
+    """The KS tests read each table's distinct values and their counts;
+    where a division or a map rounds distinct values together, every kappa
+    is still the merged-grid kappa of the n mapped values (==)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rows=st.lists(merging, min_size=6, max_size=6))
+    def test_mean_normalized_is_pairwise_of_normalized(self, rows):
+        try:
+            normalized = [mean_normalize(r) for r in rows]
+        except DegenerateInputError as exc:
+            # a zero-mean row is refused the same way
+            with pytest.raises(DegenerateInputError, match=str(exc)):
+                ks_mean_normalized(rows, PAIR_INDICES, 0.05)
+            return
+        got = ks_mean_normalized(rows, PAIR_INDICES, 0.05)
+        assert got == ks_pairwise(normalized, PAIR_INDICES, 0.05)
+        assert [r.kappa for r in got] == [
+            full_grid_ks_distance(normalized[i], normalized[j])
+            for i, j in PAIR_INDICES]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=merging, y=merging)
+    def test_mapped_is_the_full_grid_kappa(self, x, y):
+        n = min(x.size, y.size)
+        x, y = x[:n], y[:n]
+        try:
+            lm = fit_linear_map(x, y)
+        except DegenerateInputError:
+            return
+        mapped = lm.alpha * x.astype(float) + lm.beta
+        assert ks_after_linear_map(x, y).kappa == full_grid_ks_distance(
+            mapped, y)
+
+    def test_rounding_merges_distinct_values(self):
+        # the hand cases of the two properties: values do merge, and
+        # every copy of a merged value is still counted
+        near = np.array([2**53 + k for k in (-3, -2, -1, 0, 1, 2, 3, 5)] * 2,
+                        dtype=np.int64)
+        table = rank_table(near)
+        normalized = table.values / table.mean
+        assert np.unique(normalized).size < table.values.size
+        other = np.arange(1, 17, dtype=np.int64)
+        assert ks_mean_normalized([near, other], [(0, 1)])[0].kappa == (
+            full_grid_ks_distance(mean_normalize(near), mean_normalize(other)))
+        x = np.array([0, 1, 2, 3, 4, 2**62, 0, 1, 2, 3], dtype=np.int64)
+        y = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], dtype=np.int64)
+        lm = fit_linear_map(x, y)
+        mapped = lm.alpha * x.astype(float) + lm.beta
+        assert np.unique(mapped).size < rank_table(x).values.size
+        assert ks_after_linear_map(x, y).kappa == full_grid_ks_distance(
+            mapped, y)
+
+    def test_mapped_test_copies_no_row(self):
+        # the map reads the k distinct values of x; mapping the n-value
+        # sorted row instead peaked at 1.6 MB
+        rng = np.random.default_rng(11)
+        n = 10 ** 5
+        tx = rank_table(rng.integers(1, 40, n))
+        ty = rank_table(rng.integers(1, 40, n) + tx.row // 4)
+        ks_after_linear_map(tx, ty)
+        assert tx.values.size < 50 and ty.values.size < 50
+        tracemalloc.start()
+        try:
+            ks_after_linear_map(tx, ty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
 
 
 class TestKsTwoSample:
